@@ -192,6 +192,23 @@ class CIMAccelerator:
                 acc.merge(core.costs)
         return acc
 
+    def accumulated_latency(self) -> float:
+        """``total_costs().total.latency`` without building the merge.
+
+        Sums each tile's category latencies in grid order and, within a
+        tile, in sorted category order — the order
+        :meth:`~repro.core.metrics.CostAccumulator.merge` adds them — so
+        the result is bit-identical.  The pipeline scheduler reads it
+        around every micro-batch.
+        """
+        latency = 0.0
+        for tile_row in self.tiles:
+            for core in tile_row:
+                by_category = core.costs.by_category
+                for category in sorted(by_category):
+                    latency += by_category[category].latency
+        return latency
+
     def report(self, label: str = "cim_accelerator") -> RunReport:
         """Structured run report reduced over all tiles in grid order."""
         return RunReport.reduce(

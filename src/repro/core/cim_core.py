@@ -192,9 +192,7 @@ class CIMCore:
         telemetry.current().incr("core.vmm_batches")
         telemetry.current().incr("core.vmm_inputs", batch)
         activations_before = self.driver.activations
-        voltages = np.stack(
-            [self.driver.drive_analog(self.encoder.amplitude(row)) for row in x]
-        )
+        voltages = self.driver.drive_analog(self.encoder.amplitude(x))
         if self._ir_solver is not None:
             g = (
                 self.array.read_conductances()
@@ -211,9 +209,8 @@ class CIMCore:
         y = self.mapping.decode(digitized, voltages, v_scale=p.v_read)
 
         n_cols = self.array.cols
-        settle_power = sum(
-            self.array.dynamic_read_power(voltages[k]) for k in range(batch)
-        )
+        # Same left-to-right float sum as adding the rows' powers one by one.
+        settle_power = sum(self.array.dynamic_read_power(voltages).tolist())
         model = energy_models.active_model()
         model.charge_dac(
             self.costs,

@@ -17,7 +17,7 @@ which is exactly what repair/remapping schemes need to reason about.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -336,20 +336,31 @@ class CrossbarArray:
         """Per-cell write counters (endurance accounting, copy)."""
         return self._write_counts.copy()
 
-    def dynamic_read_power(self, voltages: np.ndarray) -> float:
+    def dynamic_read_power(self, voltages: np.ndarray) -> Union[float, np.ndarray]:
         """Instantaneous power dissipated in the array for input
         ``voltages``: ``P = sum_ij V_i^2 G_ij``.
 
         This is the observable that the online changepoint detector of
         [52] (Fig 7) monitors — stuck faults change column conductance and
         therefore shift this power signature.
+
+        ``voltages`` of shape ``(rows,)`` gives one float; ``(batch,
+        rows)`` gives the ``(batch,)`` powers of its rows, each bit-equal
+        to the 1-D call on that row.  The per-row dot product is a stacked
+        matmul (one BLAS dot per row, the same kernel as the 1-D ``@``);
+        a single matrix-vector product would round differently.
         """
         voltages = np.asarray(voltages, dtype=float)
-        if voltages.shape != (self.rows,):
+        if voltages.ndim not in (1, 2) or voltages.shape[-1] != self.rows:
             raise ValueError(
-                f"voltage vector must have shape ({self.rows},), got {voltages.shape}"
+                f"voltages must have shape ({self.rows},) or "
+                f"(batch, {self.rows}), got {voltages.shape}"
             )
-        return float((voltages**2) @ self.conductances().sum(axis=1))
+        row_sums = self.conductances().sum(axis=1)
+        squared = voltages**2
+        if squared.ndim == 1:
+            return float(squared @ row_sums)
+        return (squared[:, None, :] @ row_sums[:, None])[:, 0, 0]
 
     def _check_cell(self, row: int, col: int) -> None:
         if not (0 <= row < self.rows and 0 <= col < self.cols):

@@ -277,7 +277,8 @@ class InputEncoder:
         self.input_bits = input_bits
 
     def amplitude(self, x: np.ndarray) -> np.ndarray:
-        """Analog amplitude encoding of inputs in ``[0, 1]``."""
+        """Analog amplitude encoding of inputs in ``[0, 1]`` (elementwise,
+        so one call encodes a whole ``(batch, rows)`` input matrix)."""
         x = np.asarray(x, dtype=float)
         if np.any((x < 0) | (x > 1)):
             raise ValueError("amplitude encoding requires inputs in [0, 1]")

@@ -126,11 +126,17 @@ class WordlineDriver:
         return np.where(mask, voltage, 0.0)
 
     def drive_analog(self, voltages: np.ndarray) -> np.ndarray:
-        """Arbitrary per-row analog voltages (DAC-driven mode)."""
+        """Arbitrary per-row analog voltages (DAC-driven mode).
+
+        ``voltages`` is one wordline vector ``(rows,)`` or a batch of them
+        ``(batch, rows)``; a batch counts the same activations as driving
+        its vectors one at a time.
+        """
         voltages = np.asarray(voltages, dtype=float)
-        if voltages.shape != (self.n_rows,):
+        if voltages.ndim not in (1, 2) or voltages.shape[-1] != self.n_rows:
             raise ValueError(
-                f"voltages must have shape ({self.n_rows},), got {voltages.shape}"
+                f"voltages must have shape ({self.n_rows},) or "
+                f"(batch, {self.n_rows}), got {voltages.shape}"
             )
         active = int(np.count_nonzero(voltages))
         self._activations += active

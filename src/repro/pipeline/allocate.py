@@ -199,9 +199,7 @@ class StageAllocation:
 
     def latency_accumulated(self) -> float:
         """Total latency charged across this stage's replicas so far (s)."""
-        return sum(
-            accel.total_costs().total.latency for accel in self.replicas
-        )
+        return sum(accel.accumulated_latency() for accel in self.replicas)
 
 
 @dataclass

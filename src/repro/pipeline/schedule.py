@@ -314,9 +314,9 @@ class PipelineScheduler:
                     else in_rows[0][m]
                 )
                 replica = stage.replicas[stage.replica_for(m)]
-                lat0 = replica.total_costs().total.latency
+                lat0 = replica.accumulated_latency()
                 outs.append(stage.apply(h, m, noisy=noisy))
-                lat1 = replica.total_costs().total.latency
+                lat1 = replica.accumulated_latency()
                 # Tiles within a replica evaluate in parallel; the model
                 # charges each tile's latency, so wall time is the sum
                 # divided by the tile count.

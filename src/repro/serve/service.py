@@ -211,12 +211,47 @@ def _energy_spec(value: Any):
         raise BadRequestError(f"bad energy_model: {exc}") from None
 
 
+def _type_name(value: Any) -> Optional[str]:
+    """JSON-level type of a parameter value: ``"int"``, ``"float"``,
+    ``"str"``, ``"list"``, or ``None`` for anything else (bools included:
+    ``True`` is not a count)."""
+    if isinstance(value, bool):
+        return None
+    if isinstance(value, list):
+        return "list"
+    for name, kind in (("int", int), ("float", float), ("str", str)):
+        if isinstance(value, kind):
+            return name
+    return None
+
+
+def _type_matches(value: Any, default: Any) -> bool:
+    """Whether ``value`` has its default's type (an int passes where the
+    default is a float; list elements are held to the default's first
+    element, and an empty default list accepts any elements)."""
+    want, got = _type_name(default), _type_name(value)
+    if want == "list":
+        return got == "list" and (
+            not default or all(_type_matches(v, default[0]) for v in value)
+        )
+    return got == want or (want == "float" and got == "int")
+
+
 def _normalize(
     params: Dict[str, Any], defaults: Dict[str, Any], what: str
 ) -> Dict[str, Any]:
     """Fill defaults and reject unknown keys, so every equivalent request
     normalizes to the same fingerprint and typos never silently fork a
-    cache entry."""
+    cache entry.
+
+    Each supplied value must have its default's type (see
+    :func:`_type_matches`); a mismatch is a bad request naming the field,
+    never a ``TypeError`` from deep inside the run.  Values are checked,
+    not coerced, so fingerprints of valid requests are unchanged.
+    ``energy_model`` is left to its own parser (:func:`_energy_spec`).
+    """
+    if params is not None and not isinstance(params, dict):
+        raise BadRequestError(f"{what} parameters must be a JSON object")
     params = dict(params or {})
     unknown = sorted(set(params) - set(defaults))
     if unknown:
@@ -225,6 +260,19 @@ def _normalize(
             unknown=unknown,
             allowed=sorted(defaults),
         )
+    for name in sorted(params):
+        if name == "energy_model":
+            continue
+        default = defaults[name]
+        if not _type_matches(params[name], default):
+            want = _type_name(default)
+            if want == "list" and default:
+                want = f"list of {_type_name(default[0])}"
+            raise BadRequestError(
+                f"{what} parameter {name!r} must be {want}, got "
+                f"{params[name]!r}",
+                field=name,
+            )
     out = dict(defaults)
     out.update(params)
     return out
@@ -529,8 +577,11 @@ class SimulationService:
             )
             return rows, outer.merge(grid_report)
 
-        async with self._compute_lock:
-            rows, report = await asyncio.to_thread(_run)
+        try:
+            async with self._compute_lock:
+                rows, report = await asyncio.to_thread(_run)
+        except ValueError as exc:
+            raise BadRequestError(f"bad sweep request: {exc}") from None
         report.label = "sweep"
         return self._finish("sweep", key, {"rows": rows}, report)
 
@@ -574,8 +625,11 @@ class SimulationService:
             )
             return {"rows": rows, "pareto": pareto}, report
 
-        async with self._compute_lock:
-            result, report = await asyncio.to_thread(_run)
+        try:
+            async with self._compute_lock:
+                result, report = await asyncio.to_thread(_run)
+        except ValueError as exc:
+            raise BadRequestError(f"bad dse request: {exc}") from None
         return self._finish("dse", key, result, report)
 
     # -------------------------------------------------------- kind:pipeline
@@ -650,15 +704,23 @@ class SimulationService:
             }
             return result, run.report("pipeline")
 
-        async with self._compute_lock:
-            result, report = await asyncio.to_thread(_run)
+        try:
+            async with self._compute_lock:
+                result, report = await asyncio.to_thread(_run)
+        except ValueError as exc:
+            raise BadRequestError(f"bad pipeline request: {exc}") from None
         return self._finish("pipeline", key, result, report)
 
     # ---------------------------------------------------------- kind:faults
     async def _handle_faults(self, params: Dict[str, Any]) -> Dict[str, Any]:
         params = dict(params)
-        cell_yield = float(params.pop("cell_yield", 0.9))
-        seed = int(params.pop("seed", 0))
+        try:
+            cell_yield = float(params.pop("cell_yield", 0.9))
+            seed = int(params.pop("seed", 0))
+        except (TypeError, ValueError):
+            raise BadRequestError(
+                "faults parameters cell_yield and seed must be numbers"
+            ) from None
         model_params = params.pop("model", {})
         if params:
             raise BadRequestError(

@@ -262,6 +262,59 @@ class TestSweepAndDse:
         run(main())
 
 
+class TestParamTypes:
+    """A value of the wrong type is a bad request naming its field, not
+    an ``internal`` error raised from inside the run."""
+
+    @pytest.mark.parametrize(
+        "kind, params, field",
+        [
+            ("attention", {"seqs": 5}, "seqs"),
+            ("dse", {"tile_counts": 4}, "tile_counts"),
+            ("sweep", {"yields": 0.9}, "yields"),
+            ("pipeline", {"batch": "x"}, "batch"),
+            ("pipeline", {"tiles": True}, "tiles"),
+            ("pipeline", {"tiles": 8.0}, "tiles"),
+            ("train", {"lives": ["a"]}, "lives"),
+            ("ecc", {"codes": "secded"}, "codes"),
+            ("ecc", {"scenarios": None}, "scenarios"),
+            ("infer", {"x": [[0.5] * 16], "model": {"hidden": 12}}, "hidden"),
+        ],
+    )
+    def test_wrong_type_names_the_field(self, kind, params, field):
+        async def main():
+            svc = make_service()
+            with pytest.raises(BadRequestError, match=repr(field)) as info:
+                await svc.submit({"kind": kind, "params": params})
+            return info.value
+
+        assert run(main()).payload()["field"] == field
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("pipeline", {"tiles": 0}),
+            ("sweep", {"trials": 0}),
+            ("faults", {"cell_yield": "x"}),
+            ("infer", {"x": [[0.5] * 16], "model": 5}),
+        ],
+    )
+    def test_bad_values_are_bad_requests(self, kind, params):
+        async def main():
+            svc = make_service()
+            with pytest.raises(BadRequestError):
+                await svc.submit({"kind": kind, "params": params})
+
+        run(main())
+
+    def test_int_accepted_where_default_is_float(self):
+        from repro.serve.service import SWEEP_DEFAULTS, _normalize
+
+        cfg = _normalize({"yields": [1, 0.5], "separation": 2}, SWEEP_DEFAULTS, "sweep")
+        # Checked, not coerced: the fingerprint sees the value as sent.
+        assert cfg["yields"] == [1, 0.5] and isinstance(cfg["separation"], int)
+
+
 class TestEnergyModelCacheKeys:
     """Static and value-aware runs of the same config must never share
     a warm cache hit: the parsed spec is part of every result key."""
