@@ -20,6 +20,13 @@ from conftest import print_table, record_ecc_metrics
 #: the scalar reference means the vectorization silently regressed.
 CODEC_SPEEDUP_GATE = 3.0
 
+#: ``_mc_block`` decodes only the error patterns of words that took a
+#: flip; under 1.5x over the full encode -> flip -> decode block means
+#: that shortcut silently stopped paying.
+MC_BLOCK_SPEEDUP_GATE = 1.5
+MC_BER = 1e-3
+MC_REPEATS = 15
+
 WORDS = 4096
 DATA_BITS = 32
 
@@ -28,6 +35,69 @@ def _timed(fn, *args, **kwargs):
     start = time.perf_counter()
     result = fn(*args, **kwargs)
     return result, time.perf_counter() - start
+
+
+def _mc_block_full_codec(count, rng, code, ber):
+    """The Monte Carlo block ``_mc_block`` must match: encode random
+    data, flip, decode the whole block and compare with the data."""
+    from repro.testing.ecc import STATUS_DETECTED
+
+    data = rng.integers(0, 2, size=(count, code.data_bits)).astype(np.int8)
+    codewords = code.encode_block(data)
+    flips = rng.random((count, code.codeword_bits)) < ber
+    received = codewords ^ flips.astype(np.int8)
+    decoded, status = code.decode_block(received)
+    return (status == STATUS_DETECTED) | np.any(decoded != data, axis=1)
+
+
+def test_mc_block_beats_full_codec(run_once):
+    """The advisor's inner loop on BCH(32) at an advisor-range BER: the
+    error-pattern-only block must be bit-equal to the full codec (flags
+    and generator state) and clear the gate.  Best of ``MC_REPEATS``
+    same-seed calls per path."""
+    from repro.testing.ecc import _mc_block, make_code
+
+    code = make_code("bch", DATA_BITS)
+
+    def best_of(fn):
+        best = float("inf")
+        for _ in range(MC_REPEATS):
+            rng = np.random.default_rng(0)
+            flags, seconds = _timed(fn, WORDS, rng, code, MC_BER)
+            best = min(best, seconds)
+        return flags, rng.bit_generator.state, best
+
+    def experiment():
+        return best_of(_mc_block), best_of(_mc_block_full_codec)
+
+    (flags, state, t_fast), (ref_flags, ref_state, t_full) = run_once(
+        experiment
+    )
+    assert np.array_equal(flags, ref_flags)
+    assert state == ref_state
+    speedup = t_full / t_fast
+    print_table(
+        f"BCH({DATA_BITS}) Monte Carlo block, {WORDS} words, BER {MC_BER}",
+        [
+            {"path": "full encode/decode", "seconds": t_full},
+            {"path": "error patterns only", "seconds": t_fast},
+        ],
+    )
+    print(f"mc_block speedup: {speedup:.2f}x (gate {MC_BLOCK_SPEEDUP_GATE}x)")
+    record_ecc_metrics(
+        "mc_block",
+        {
+            "code": "bch",
+            "words": WORDS,
+            "data_bits": DATA_BITS,
+            "ber": MC_BER,
+            "failed_words": int(flags.sum()),
+            "full_codec_seconds": t_full,
+            "mc_block_seconds": t_fast,
+            "speedup_mc_block_vs_full_codec": speedup,
+        },
+    )
+    assert speedup >= MC_BLOCK_SPEEDUP_GATE
 
 
 def test_bch_block_codec_beats_scalar(run_once):

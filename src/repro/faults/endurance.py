@@ -45,10 +45,13 @@ class EnduranceModel:
         return self.characteristic_life * gen.weibull(self.shape, size=size)
 
     def failure_probability(self, writes: float) -> float:
-        """CDF: probability a cell has failed after ``writes`` cycles."""
+        """CDF: probability a cell has failed after ``writes`` cycles.
+
+        Computed as ``-expm1(-x)``: the ``1 - exp(-x)`` form cancels for
+        small ``x`` (early life) and returns 0 below ``x ~ 1e-16``."""
         if writes < 0:
             raise ValueError(f"writes must be >= 0, got {writes}")
-        return float(1.0 - np.exp(-((writes / self.characteristic_life) ** self.shape)))
+        return float(-np.expm1(-((writes / self.characteristic_life) ** self.shape)))
 
 
 class EnduranceSimulator:

@@ -29,6 +29,19 @@ class TestEnduranceModel:
             1 - math.exp(-1), rel=1e-9
         )
 
+    @pytest.mark.parametrize("x", [1e-8, 1e-12, 1e-17])
+    def test_failure_probability_exact_at_small_exponent(self, x):
+        """Early in life ``1 - exp(-x)`` cancels (and is 0.0 at 1e-17);
+        the CDF must match the exact Taylor value ``x - x^2/2 + x^3/6``
+        (truncation error ~x^4) to < 1e-15 relative error."""
+        from fractions import Fraction
+
+        model = EnduranceModel(characteristic_life=1.0, shape=1.0)
+        xf = Fraction(x)  # the exact float the model sees as its exponent
+        exact = xf - xf**2 / 2 + xf**3 / 6
+        got = Fraction(model.failure_probability(x))
+        assert abs(got - exact) / exact < Fraction(1, 10**15)
+
     def test_sample_lifetimes_positive(self):
         model = EnduranceModel()
         lifetimes = model.sample_lifetimes(1000, rng=0)

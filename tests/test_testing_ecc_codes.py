@@ -20,6 +20,7 @@ from repro.testing.ecc import (
     STATUS_DETECTED,
     STATUS_OK,
     make_code,
+    _mc_block,
 )
 
 ALL_CODES = sorted(CODES)
@@ -274,3 +275,75 @@ class TestFailureProbability:
         # Aliasing beyond capability can only push the empirical rate off
         # the guaranteed-capability analytic value by a modest factor.
         assert empirical == pytest.approx(analytic, rel=0.35)
+
+
+def _mc_block_full_codec(count, rng, code, ber):
+    """Reference Monte Carlo block: encode random data, flip, decode the
+    whole block and compare with the data."""
+    data = rng.integers(0, 2, size=(count, code.data_bits)).astype(np.int8)
+    codewords = code.encode_block(data)
+    flips = rng.random((count, code.codeword_bits)) < ber
+    received = codewords ^ flips.astype(np.int8)
+    decoded, status = code.decode_block(received)
+    return (status == STATUS_DETECTED) | np.any(decoded != data, axis=1)
+
+
+class TestLinearityContract:
+    """Decoding ``c ^ e`` must depend on the error pattern ``e`` only —
+    the property that lets ``_mc_block`` skip encoding."""
+
+    @pytest.mark.parametrize("name", ALL_CODES)
+    @pytest.mark.parametrize("data_bits", [8, 32])
+    def test_decode_depends_only_on_error_pattern(self, name, data_bits, rng):
+        code = make_code(name, data_bits)
+        n = code.codeword_bits
+        words = 4 * (n + 1)
+        data = rng.integers(0, 2, size=(words, data_bits)).astype(np.int8)
+        codewords = code.encode_block(data)
+        errors = np.zeros((words, n), dtype=np.int8)
+        for i in range(words):
+            errors[i, rng.choice(n, size=i % (n + 1), replace=False)] = 1
+        got_data, got_status = code.decode_block(codewords ^ errors)
+        err_data, err_status = code.decode_block(errors)
+        assert np.array_equal(got_status, err_status)
+        assert np.array_equal(got_data ^ err_data, data)
+        # 0 to n flips reach every decoder outcome.
+        assert set(err_status.tolist()) == {
+            STATUS_OK, STATUS_CORRECTED, STATUS_DETECTED
+        }
+
+
+class TestMonteCarloBlock:
+    """``_mc_block`` against the full encode -> flip -> decode oracle:
+    equal flags and equal generator state afterwards."""
+
+    @pytest.mark.parametrize("name", ALL_CODES)
+    @pytest.mark.parametrize("data_bits", [8, 32, 64])
+    @pytest.mark.parametrize("ber", [0.0, 1e-4, 1e-2, 0.2, 0.5, 1.0])
+    def test_matches_full_codec(self, name, data_bits, ber):
+        code = make_code(name, data_bits)
+        for seed in range(4):
+            fast_rng = np.random.default_rng(seed)
+            ref_rng = np.random.default_rng(seed)
+            fast = _mc_block(500, fast_rng, code, ber)
+            ref = _mc_block_full_codec(500, ref_rng, code, ber)
+            assert fast.dtype == ref.dtype
+            assert np.array_equal(fast, ref), f"seed {seed}"
+            assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_advisor_rows_unchanged(self, monkeypatch):
+        from repro.testing import ecc_advisor
+
+        kw = dict(codes=ALL_CODES, yields=(0.999, 0.97), mc_words=300,
+                  trials=2, seed=3, workers=0)
+        fast = ecc_advisor.advise_ecc(**kw)
+        calls = []
+
+        def oracle(*args):
+            calls.append(args)
+            return _mc_block_full_codec(*args)
+
+        monkeypatch.setattr(ecc_advisor, "_mc_block", oracle)
+        reference = ecc_advisor.advise_ecc(**kw)
+        assert calls
+        assert fast == reference
