@@ -291,24 +291,55 @@ def cmd_report(args) -> int:
     return 0
 
 
-def cmd_pipeline(args) -> int:
-    import json as _json
-
+def _run_job(name: str, args, **params):
+    """Run the ``cimflow serve`` job kind ``name`` in-process on its
+    defaults overridden by ``params`` and ``--seed``, priced under
+    ``--energy-model``: the CLI and the server share one library call.
+    Returns the job's result, or ``None`` after printing why the
+    parameters were rejected."""
     from repro.costs import use_model
-    from repro.pipeline import explore_pipeline, pareto_analysis
+    from repro.serve.service import JOB_KINDS, BadRequestError
 
-    tiles = [int(t) for t in args.tiles.split(",") if t.strip()]
-    adc_bits = [int(b) for b in args.adc_bits.split(",") if b.strip()]
-    with use_model(args.energy_model):
-        rows = explore_pipeline(
-            tile_counts=tiles,
-            batch_sizes=(args.batch,),
-            adc_bits=adc_bits,
-            workload=args.workload,
-            micro_batch=args.micro_batch,
-            seed=args.seed,
-            workers=args.workers,
-        )
+    kind = JOB_KINDS[name]
+    cfg = {**kind.defaults, **params, "seed": args.seed}
+    try:
+        with use_model(args.energy_model):
+            return kind.run(cfg, args.workers, None)[0]
+    except (ValueError, BadRequestError) as exc:
+        print(str(exc), file=sys.stderr)
+        return None
+
+
+def _csv(text: str, kind=str) -> list:
+    """A comma-separated flag value as a list of ``kind``."""
+    return [kind(v.strip()) for v in text.split(",") if v.strip()]
+
+
+def _write_json(path: Optional[str], payload, what: str) -> None:
+    """The ``--json`` flag: write ``payload`` to ``path``, if given."""
+    import json
+
+    if path:
+        with open(path, "w") as fh:
+            json.dump(payload, fh, indent=2)
+        print(f"{what} written to {path}")
+
+
+def cmd_pipeline(args) -> int:
+    names = _csv(args.objectives) if args.objectives else None
+    result = _run_job(
+        "dse",
+        args,
+        tile_counts=_csv(args.tiles, int),
+        batch_sizes=[args.batch],
+        adc_bits=_csv(args.adc_bits, int),
+        workload=args.workload,
+        micro_batch=args.micro_batch,
+        **({"objectives": names} if names else {}),
+    )
+    if result is None:
+        return 2
+    rows = result["rows"]
 
     def _display(row_set):
         return [
@@ -348,10 +379,8 @@ def cmd_pipeline(args) -> int:
             f"duplication) -> {best['throughput']:.3e} samples/s, "
             f"{best['speedup']:.2f}x over layer-sequential"
         )
-    analysis = None
-    if args.objectives:
-        names = [s.strip() for s in args.objectives.split(",") if s.strip()]
-        analysis = pareto_analysis(rows, names)
+    if names:
+        analysis = result["pareto"]
         front_display = _display(analysis["front"])
         for shown, row in zip(front_display, analysis["front"]):
             shown["knee"] = row["knee"]
@@ -379,39 +408,25 @@ def cmd_pipeline(args) -> int:
                 for param, per_objective in analysis["sensitivity"].items()
             ],
         )
-    if args.json:
-        payload = rows if analysis is None else {
-            "rows": rows, "pareto": analysis,
-        }
-        with open(args.json, "w") as fh:
-            _json.dump(payload, fh, indent=2)
-        print(f"exploration rows written to {args.json}")
+    _write_json(args.json, result if names else rows, "exploration rows")
     return 0
 
 
 def cmd_ecc_advisor(args) -> int:
-    import json as _json
-
-    from repro.costs import use_model
-    from repro.testing.ecc_advisor import advise_ecc, ecc_advisor_analysis
-
-    codes = [c.strip() for c in args.codes.split(",") if c.strip()]
-    yields = [float(y) for y in args.yields.split(",") if y.strip()]
-    try:
-        with use_model(args.energy_model):
-            rows = advise_ecc(
-                codes=codes,
-                yields=yields,
-                data_bits=args.data_bits,
-                mc_words=args.mc_words,
-                trials=args.trials,
-                seed=args.seed,
-                workers=args.workers,
-            )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
+    codes = _csv(args.codes)
+    yields = _csv(args.yields, float)
+    result = _run_job(
+        "ecc",
+        args,
+        codes=codes,
+        yields=yields,
+        data_bits=args.data_bits,
+        mc_words=args.mc_words,
+        trials=args.trials,
+    )
+    if result is None:
         return 2
-    analysis = ecc_advisor_analysis(rows)
+    rows, analysis = result["rows"], result["advice"]
 
     def _display(row_set):
         return [
@@ -469,35 +484,24 @@ def cmd_ecc_advisor(args) -> int:
             for param, per_objective in analysis["sensitivity"].items()
         ],
     )
-    if args.json:
-        with open(args.json, "w") as fh:
-            _json.dump({"rows": rows, "advice": analysis}, fh, indent=2)
-        print(f"advisor rows written to {args.json}")
+    _write_json(args.json, result, "advisor rows")
     return 0
 
 
 def cmd_attention(args) -> int:
-    import json as _json
-
-    from repro.costs import use_model
-    from repro.workloads import explore_attention
-
-    seqs = [int(s) for s in args.seqs.split(",") if s.strip()]
-    d_heads = [int(d) for d in args.d_heads.split(",") if d.strip()]
-    micro_batches = [
-        int(m) for m in args.micro_batches.split(",") if m.strip()
-    ]
-    with use_model(args.energy_model):
-        rows = explore_attention(
-            seqs=seqs,
-            d_heads=d_heads,
-            micro_batches=micro_batches,
-            d_model=args.d_model,
-            batch=args.batch,
-            n_tiles=args.tiles,
-            seed=args.seed,
-            workers=args.workers,
-        )
+    result = _run_job(
+        "attention",
+        args,
+        seqs=_csv(args.seqs, int),
+        d_heads=_csv(args.d_heads, int),
+        micro_batches=_csv(args.micro_batches, int),
+        d_model=args.d_model,
+        batch=args.batch,
+        n_tiles=args.tiles,
+    )
+    if result is None:
+        return 2
+    rows = result["rows"]
     _print_table(
         f"Attention fork-join DSE (d_model {args.d_model}, batch "
         f"{args.batch}, {args.tiles} tiles, {args.energy_model} energy "
@@ -529,35 +533,25 @@ def cmd_attention(args) -> int:
             f"micro-batch {best['micro_batch']} -> "
             f"{best['speedup']:.2f}x pipelined over layer-sequential"
         )
-    if args.json:
-        with open(args.json, "w") as fh:
-            _json.dump(rows, fh, indent=2)
-        print(f"exploration rows written to {args.json}")
+    _write_json(args.json, rows, "exploration rows")
     return 0
 
 
 def cmd_train(args) -> int:
-    import json as _json
-
-    from repro.costs import use_model
-    from repro.workloads import explore_training
-
-    lives = [float(v) for v in args.lives.split(",") if v.strip()]
-    drift_nus = [float(v) for v in args.drift_nus.split(",") if v.strip()]
-    with use_model(args.energy_model):
-        rows = explore_training(
-            lives=lives,
-            drift_nus=drift_nus,
-            epochs=args.epochs,
-            write_sigma=args.write_sigma,
-            backend=args.backend,
-            seed=args.seed,
-            workers=args.workers,
-        )
+    result = _run_job(
+        "train",
+        args,
+        lives=_csv(args.lives, float),
+        drift_nus=_csv(args.drift_nus, float),
+        epochs=args.epochs,
+        write_sigma=args.write_sigma,
+    )
+    if result is None:
+        return 2
+    rows = result["rows"]
     _print_table(
         f"In-situ training: endurance life x drift over {args.epochs} "
-        f"epochs ({args.backend} update backend, {args.energy_model} "
-        "energy model)",
+        f"epochs (auto update backend, {args.energy_model} energy model)",
         [
             {
                 "char_life": r["characteristic_life"],
@@ -587,10 +581,7 @@ def cmd_train(args) -> int:
             for r in rows
         ],
     )
-    if args.json:
-        with open(args.json, "w") as fh:
-            _json.dump(rows, fh, indent=2)
-        print(f"training rows written to {args.json}")
+    _write_json(args.json, rows, "training rows")
     return 0
 
 
@@ -699,6 +690,19 @@ def _add_workers_arg(sub_parser) -> None:
             "default: $REPRO_WORKERS)"
         ),
     )
+
+
+def _request_kind(value: str) -> str:
+    """``submit``'s kind, checked against the server's kinds on use (so
+    other commands never import the serving layer)."""
+    from repro.serve.service import REQUEST_KINDS
+
+    if value not in REQUEST_KINDS:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {value!r} "
+            f"(choose from {', '.join(REQUEST_KINDS)})"
+        )
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -897,12 +901,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="lognormal programming-noise sigma (default 0.05)",
     )
     train.add_argument(
-        "--backend",
-        choices=("auto", "fast", "scalar"),
-        default="auto",
-        help="outer-product/write-verify backend (default auto = fast)",
-    )
-    train.add_argument(
         "--json", default=None, help="also write the rows as JSON to this path"
     )
     _add_energy_model_arg(train)
@@ -936,12 +934,7 @@ def build_parser() -> argparse.ArgumentParser:
         "submit", help="submit one request to a running cimflow serve"
     )
     submit.add_argument(
-        "kind",
-        choices=(
-            "infer", "sweep", "dse", "pipeline", "faults", "ecc",
-            "attention", "train", "stats",
-        ),
-        help="request kind",
+        "kind", type=_request_kind, help="request kind, as the server names it"
     )
     submit.add_argument(
         "--params",

@@ -160,16 +160,18 @@ class RequestBatcher:
         if len(batch) > 1:
             self.stats.coalesced_flushes += 1
             telemetry.current().incr("serve.batch.coalesced_flushes")
-        stacked = (
-            batch[0].x
-            if len(batch) == 1
-            else np.concatenate([p.x for p in batch], axis=0)
-        )
-        self.stats.max_batch_rows = max(
-            self.stats.max_batch_rows, stacked.shape[0]
-        )
-        telemetry.current().incr("serve.batch.rows", stacked.shape[0])
         try:
+            # Inside the try: blocks of mismatched widths must fail every
+            # waiter, not escape from a timer task and strand them.
+            stacked = (
+                batch[0].x
+                if len(batch) == 1
+                else np.concatenate([p.x for p in batch], axis=0)
+            )
+            self.stats.max_batch_rows = max(
+                self.stats.max_batch_rows, stacked.shape[0]
+            )
+            telemetry.current().incr("serve.batch.rows", stacked.shape[0])
             with telemetry.scoped() as scope:
                 out = group.runner(stacked)
             counters = scope.snapshot(include_timers=False)["counters"]

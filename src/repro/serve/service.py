@@ -16,8 +16,9 @@ Request lifecycle::
         ├── infer ──► artifact cache (deployed model, carries its tiles'
         │             LU caches) ──► request batcher (coalesced
         │             forward_batch, per-request demux)
-        └── sweep / dse / pipeline ──► serialized compute (one heavy job
-                      at a time, off the event loop thread)
+        └── JOB_KINDS (sweep, dse, pipeline, ecc, attention, train)
+                      ──► serialized compute (one heavy job at a time,
+                      off the event loop thread)
 
 Every completed request carries a conservation-validated
 :class:`~repro.utils.telemetry.RunReport`; reports of *computed* requests
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -48,6 +49,8 @@ __all__ = [
     "ServiceConfig",
     "SimulationService",
     "REQUEST_KINDS",
+    "JOB_KINDS",
+    "JobKind",
 ]
 
 #: Request kinds the service accepts.
@@ -170,7 +173,6 @@ ECC_DEFAULTS: Dict[str, Any] = {
     "energy_model": "static",
 }
 
-
 ATTENTION_DEFAULTS: Dict[str, Any] = {
     "seqs": [4, 8],
     "d_heads": [4, 8],
@@ -191,10 +193,24 @@ TRAIN_DEFAULTS: Dict[str, Any] = {
     "n_features": 16,
     "n_classes": 4,
     "write_sigma": 0.05,
-    "backend": "auto",
     "trials": 1,
     "seed": 0,
     "energy_model": "static",
+}
+
+#: ``x`` is required (an empty list means missing); ``model`` is checked
+#: against :data:`MODEL_DEFAULTS` by :meth:`SimulationService.model_artifact`.
+INFER_DEFAULTS: Dict[str, Any] = {
+    "x": [],
+    "noisy": False,
+    "model": {},
+    "energy_model": "static",
+}
+
+FAULTS_DEFAULTS: Dict[str, Any] = {
+    "cell_yield": 0.9,
+    "seed": 0,
+    "model": {},
 }
 
 
@@ -212,14 +228,13 @@ def _energy_spec(value: Any):
 
 
 def _type_name(value: Any) -> Optional[str]:
-    """JSON-level type of a parameter value: ``"int"``, ``"float"``,
-    ``"str"``, ``"list"``, or ``None`` for anything else (bools included:
-    ``True`` is not a count)."""
-    if isinstance(value, bool):
-        return None
-    if isinstance(value, list):
-        return "list"
-    for name, kind in (("int", int), ("float", float), ("str", str)):
+    """JSON-level type of a parameter value: ``"bool"``, ``"int"``,
+    ``"float"``, ``"str"``, ``"list"``, ``"dict"``, or ``None`` for
+    ``null`` (``bool`` is tested first: ``True`` is not a count)."""
+    for name, kind in (
+        ("bool", bool), ("int", int), ("float", float), ("str", str),
+        ("list", list), ("dict", dict),
+    ):
         if isinstance(value, kind):
             return name
     return None
@@ -276,6 +291,217 @@ def _normalize(
     out = dict(defaults)
     out.update(params)
     return out
+
+
+# --------------------------------------------------------------- job kinds
+# Each ``run(cfg, workers, artifacts)`` is only the library call and the
+# result assembly for one normalized config; the caller prices it (the
+# energy model is active around the call) and owns caching, locking and
+# error mapping.  Library imports stay inside each run, so importing the
+# service stays cheap.
+
+
+def _scope_report(scope: telemetry.Telemetry, label: str = "run") -> RunReport:
+    """The counters a telemetry scope captured, as a report."""
+    return RunReport.from_counters(
+        scope.snapshot(include_timers=False)["counters"], label=label
+    )
+
+
+def _run_sweep(cfg, workers, artifacts):
+    from repro.apps.nn import accuracy_vs_yield
+
+    with telemetry.scoped() as scope:
+        rows, grid_report = accuracy_vs_yield(
+            yields=tuple(cfg["yields"]),
+            n_samples=int(cfg["n_samples"]),
+            n_features=int(cfg["n_features"]),
+            n_classes=int(cfg["n_classes"]),
+            hidden=int(cfg["hidden"]),
+            separation=float(cfg["separation"]),
+            trials=int(cfg["trials"]),
+            rng=int(cfg["seed"]),
+            epochs=int(cfg["epochs"]),
+            workers=workers,
+            with_report=True,
+        )
+    # Training/clean-deployment costs land on the outer scope; per-job
+    # costs are only in the grid report.  Merge both.
+    return {"rows": rows}, _scope_report(scope).merge(grid_report)
+
+
+def _run_dse(cfg, workers, artifacts):
+    from repro.costs.pareto import resolve_objectives
+    from repro.pipeline import explore_pipeline, pareto_analysis
+
+    objectives = [str(o) for o in cfg["objectives"]]
+    try:
+        resolve_objectives(objectives)
+    except ValueError as exc:
+        raise BadRequestError(
+            f"dse parameter 'objectives': {exc}", field="objectives"
+        ) from None
+    with telemetry.scoped() as scope:
+        rows = explore_pipeline(
+            tile_counts=[int(t) for t in cfg["tile_counts"]],
+            duplication_modes=[str(d) for d in cfg["duplication_modes"]],
+            batch_sizes=[int(b) for b in cfg["batch_sizes"]],
+            adc_bits=[int(a) for a in cfg["adc_bits"]],
+            workload=str(cfg["workload"]),
+            micro_batch=int(cfg["micro_batch"]),
+            model_seed=int(cfg["model_seed"]),
+            seed=int(cfg["seed"]),
+            workers=workers,
+        )
+    pareto = pareto_analysis(rows, objectives)
+    return {"rows": rows, "pareto": pareto}, _scope_report(scope)
+
+
+def _run_pipeline(cfg, workers, artifacts):
+    from repro.pipeline import (
+        PipelineScheduler,
+        ScheduleParams,
+        TileInventory,
+        allocate,
+    )
+    from repro.pipeline.explore import reference_conv_graph, reference_graph
+
+    workload = cfg["workload"]
+    if workload not in ("mlp", "cnn"):
+        raise BadRequestError(
+            f"pipeline parameter 'workload' must be 'mlp' or 'cnn', got "
+            f"{workload!r}",
+            field="workload",
+        )
+    model_seed = int(cfg["model_seed"])
+    graph, graph_hit = artifacts.get_or_create(
+        ("graph", workload, model_seed),
+        lambda: (
+            reference_conv_graph(model_seed)
+            if workload == "cnn"
+            else reference_graph(model_seed=model_seed)
+        ),
+    )
+    alloc, alloc_hit = artifacts.get_or_create(
+        (
+            "alloc",
+            workload,
+            model_seed,
+            int(cfg["tiles"]),
+            str(cfg["duplication"]),
+            int(cfg["seed"]),
+        ),
+        lambda: allocate(
+            graph,
+            TileInventory(n_tiles=int(cfg["tiles"])),
+            duplication=str(cfg["duplication"]),
+            rng=int(cfg["seed"]),
+        ),
+    )
+    input_rng = np.random.default_rng(model_seed + 1)
+    if graph.input_is_image:
+        edge = graph.nodes[0].image_size
+        x = input_rng.uniform(0.0, 1.0, size=(int(cfg["batch"]), edge, edge))
+    else:
+        x = input_rng.uniform(
+            0.0, 1.0, size=(int(cfg["batch"]), graph.in_features)
+        )
+    sched = PipelineScheduler(
+        alloc, ScheduleParams(micro_batch=int(cfg["micro_batch"]))
+    )
+    run = sched.run(x, mode="pipelined", noisy=False)
+    result = {
+        "stage_table": run.stage_table(),
+        "throughput": run.throughput,
+        "utilization": run.utilization(),
+        "makespan_s": run.makespan,
+        "artifact_hits": {"graph": graph_hit, "alloc": alloc_hit},
+    }
+    return result, run.report("pipeline")
+
+
+def _run_ecc(cfg, workers, artifacts):
+    from repro.testing.ecc_advisor import advise_ecc, ecc_advisor_analysis
+
+    with telemetry.scoped() as scope:
+        rows, grid_report = advise_ecc(
+            codes=[str(c) for c in cfg["codes"]],
+            yields=[float(y) for y in cfg["yields"]],
+            scenarios=[str(s) for s in cfg["scenarios"]] or None,
+            data_bits=int(cfg["data_bits"]),
+            mc_words=int(cfg["mc_words"]),
+            words_per_array=int(cfg["words_per_array"]),
+            trials=int(cfg["trials"]),
+            seed=int(cfg["seed"]),
+            workers=workers,
+            with_report=True,
+        )
+    advice = ecc_advisor_analysis(rows)
+    report = _scope_report(scope).merge(grid_report)
+    return {"rows": rows, "advice": advice}, report
+
+
+def _run_attention(cfg, workers, artifacts):
+    from repro.workloads import explore_attention
+
+    with telemetry.scoped() as scope:
+        rows = explore_attention(
+            seqs=[int(s) for s in cfg["seqs"]],
+            d_heads=[int(d) for d in cfg["d_heads"]],
+            micro_batches=[int(m) for m in cfg["micro_batches"]],
+            d_model=int(cfg["d_model"]),
+            batch=int(cfg["batch"]),
+            n_tiles=int(cfg["n_tiles"]),
+            model_seed=int(cfg["model_seed"]),
+            trials=int(cfg["trials"]),
+            seed=int(cfg["seed"]),
+            workers=workers,
+        )
+    return {"rows": rows}, _scope_report(scope)
+
+
+def _run_train(cfg, workers, artifacts):
+    from repro.workloads import explore_training
+
+    with telemetry.scoped() as scope:
+        rows = explore_training(
+            lives=[float(v) for v in cfg["lives"]],
+            drift_nus=[float(v) for v in cfg["drift_nus"]],
+            epochs=int(cfg["epochs"]),
+            n_features=int(cfg["n_features"]),
+            n_classes=int(cfg["n_classes"]),
+            write_sigma=float(cfg["write_sigma"]),
+            trials=int(cfg["trials"]),
+            seed=int(cfg["seed"]),
+            workers=workers,
+        )
+    return {"rows": rows}, _scope_report(scope)
+
+
+@dataclass(frozen=True)
+class JobKind:
+    """A compute job kind: its parameter defaults (the normalization and
+    type table) and its ``run(cfg, workers, artifacts) -> (result,
+    RunReport)``.  ``workers`` is the sweep-engine worker count (never
+    part of the result); ``artifacts`` is the service's artifact cache."""
+
+    defaults: Dict[str, Any]
+    run: Callable[
+        [Dict[str, Any], Optional[int], Optional[ArtifactCache]],
+        Tuple[Any, RunReport],
+    ]
+
+
+#: The compute job kinds behind ``cimflow serve`` and the matching CLI
+#: commands, all served by :meth:`SimulationService._handle_job`.
+JOB_KINDS: Dict[str, JobKind] = {
+    "sweep": JobKind(SWEEP_DEFAULTS, _run_sweep),
+    "dse": JobKind(DSE_DEFAULTS, _run_dse),
+    "pipeline": JobKind(PIPELINE_DEFAULTS, _run_pipeline),
+    "ecc": JobKind(ECC_DEFAULTS, _run_ecc),
+    "attention": JobKind(ATTENTION_DEFAULTS, _run_attention),
+    "train": JobKind(TRAIN_DEFAULTS, _run_train),
+}
 
 
 @dataclass
@@ -355,13 +581,13 @@ class SimulationService:
             raise BadRequestError("params must be a JSON object")
         self._admit(kind)
         try:
-            handler = getattr(self, f"_handle_{kind}")
-            response = await handler(params)
+            if kind in JOB_KINDS:
+                response = await self._handle_job(kind, params)
+            else:
+                response = await getattr(self, f"_handle_{kind}")(params)
         finally:
             self._inflight -= 1
         self.requests_completed += 1
-        response.setdefault("ok", True)
-        response.setdefault("kind", kind)
         return response
 
     # ------------------------------------------------------- result caching
@@ -391,20 +617,16 @@ class SimulationService:
         payload = {"result": result, "report": report.to_dict()}
         if cache:
             payload = self.results.put(key, payload, tags=tags)
-        return {
-            "ok": True,
-            "kind": kind,
-            "cache": "miss" if cache else "none",
-            "result": payload["result"],
-            "report": payload["report"],
-        }
+        return self._response(kind, "miss" if cache else "none", payload)
 
     @staticmethod
-    def _hit_response(kind: str, payload: Dict[str, Any]) -> Dict[str, Any]:
+    def _response(
+        kind: str, cache: str, payload: Dict[str, Any]
+    ) -> Dict[str, Any]:
         return {
             "ok": True,
             "kind": kind,
-            "cache": "hit",
+            "cache": cache,
             "result": payload["result"],
             "report": payload["report"],
         }
@@ -473,28 +695,69 @@ class SimulationService:
             "results": self.results.invalidate_tag(fp),
         }
 
+    # ------------------------------------------------------ kind:<job kind>
+    async def _handle_job(
+        self, name: str, params: Dict[str, Any]
+    ) -> Dict[str, Any]:
+        """Serve one :data:`JOB_KINDS` request: normalize, look up the
+        results cache, then run the job off the event loop, one at a time,
+        under the requested energy model."""
+        kind = JOB_KINDS[name]
+        params = dict(params)
+        # ``workers`` never changes results (every engine is bit-identical
+        # at any worker count), so it stays out of the key; ``null`` means
+        # ``$REPRO_WORKERS``.
+        workers = params.pop("workers", 0)
+        if workers is not None and _type_name(workers) != "int":
+            raise BadRequestError(
+                f"{name} parameter 'workers' must be int or null, got "
+                f"{workers!r}",
+                field="workers",
+            )
+        cfg = _normalize(params, kind.defaults, name)
+        # The parsed spec is part of the key: static and value-aware runs
+        # of the same config can never share a warm hit.
+        spec = _energy_spec(cfg["energy_model"])
+        cfg["energy_model"] = spec.to_dict()
+        key, hit = self._cached(name, cfg)
+        if hit is not None:
+            return self._response(name, "hit", hit)
+
+        def _run() -> Tuple[Any, RunReport]:
+            from repro.costs.models import use_model
+
+            with use_model(spec):
+                return kind.run(cfg, workers, self.artifacts)
+
+        try:
+            async with self._compute_lock:
+                result, report = await asyncio.to_thread(_run)
+        except ValueError as exc:
+            raise BadRequestError(f"bad {name} request: {exc}") from None
+        report.label = name
+        return self._finish(name, key, result, report)
+
     # ----------------------------------------------------------- kind:infer
     async def _handle_infer(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        params = dict(params)
-        x_raw = params.pop("x", None)
-        if x_raw is None:
-            raise BadRequestError("infer requires 'x' (one or more inputs)")
-        noisy = bool(params.pop("noisy", False))
-        spec = _energy_spec(params.pop("energy_model", "static"))
-        model_params = params.pop("model", {})
-        if params:
+        cfg = _normalize(params, INFER_DEFAULTS, "infer")
+        if not cfg["x"]:
             raise BadRequestError(
-                f"unknown infer parameter(s): {', '.join(sorted(params))}"
+                "infer requires 'x' (one or more inputs)", field="x"
             )
-        x = np.asarray(x_raw, dtype=float)
-        if x.ndim == 1:
-            x = x[None, :]
-        if x.ndim != 2:
+        noisy = cfg["noisy"]
+        spec = _energy_spec(cfg["energy_model"])
+        artifact, _ = self.model_artifact(cfg["model"])
+        width = artifact.x_train.shape[1]
+        try:
+            x = np.atleast_2d(np.asarray(cfg["x"], dtype=float))
+        except (TypeError, ValueError):
+            x = np.empty((0, 0))
+        if x.ndim != 2 or x.shape[1] != width:
             raise BadRequestError(
-                f"x must be one input vector or a list of them, got "
-                f"shape {x.shape}"
+                f"infer parameter 'x' must be one input of {width} numbers "
+                "or a list of them",
+                field="x",
             )
-        artifact, _ = self.model_artifact(model_params)
         fp = artifact.fingerprint
         # Key on the model *fingerprint* (injective for normalized
         # configs) rather than re-embedding the whole config — request
@@ -508,7 +771,7 @@ class SimulationService:
         }
         key, hit = self._cached("infer", request_cfg)
         if hit is not None and not noisy:
-            return self._hit_response("infer", hit)
+            return self._response("infer", "hit", hit)
 
         deployed = artifact.deployed
 
@@ -538,203 +801,20 @@ class SimulationService:
             "infer", key, result, report, tags=(fp,), cache=not noisy
         )
 
-    # ----------------------------------------------------------- kind:sweep
-    async def _handle_sweep(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        params = dict(params)
-        workers = params.pop("workers", 0)
-        cfg = _normalize(params, SWEEP_DEFAULTS, "sweep")
-        spec = _energy_spec(cfg["energy_model"])
-        cfg["energy_model"] = spec.to_dict()
-        # ``workers`` never changes results (the sweep engine is
-        # bit-identical at any worker count), so it stays out of the key.
-        key, hit = self._cached("sweep", cfg)
-        if hit is not None:
-            return self._hit_response("sweep", hit)
-
-        def _run() -> Tuple[List[Dict], RunReport]:
-            from repro.apps.nn import accuracy_vs_yield
-            from repro.costs.models import use_model
-
-            with use_model(spec), telemetry.scoped() as scope:
-                rows, grid_report = accuracy_vs_yield(
-                    yields=tuple(cfg["yields"]),
-                    n_samples=int(cfg["n_samples"]),
-                    n_features=int(cfg["n_features"]),
-                    n_classes=int(cfg["n_classes"]),
-                    hidden=int(cfg["hidden"]),
-                    separation=float(cfg["separation"]),
-                    trials=int(cfg["trials"]),
-                    rng=int(cfg["seed"]),
-                    epochs=int(cfg["epochs"]),
-                    workers=workers,
-                    with_report=True,
-                )
-            # Training/clean-deployment costs land on the outer scope;
-            # per-job costs are only in the grid report.  Merge both.
-            outer = RunReport.from_counters(
-                scope.snapshot(include_timers=False)["counters"],
-                label="sweep",
-            )
-            return rows, outer.merge(grid_report)
-
-        try:
-            async with self._compute_lock:
-                rows, report = await asyncio.to_thread(_run)
-        except ValueError as exc:
-            raise BadRequestError(f"bad sweep request: {exc}") from None
-        report.label = "sweep"
-        return self._finish("sweep", key, {"rows": rows}, report)
-
-    # ------------------------------------------------------------- kind:dse
-    async def _handle_dse(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        params = dict(params)
-        workers = params.pop("workers", 0)
-        cfg = _normalize(params, DSE_DEFAULTS, "dse")
-        spec = _energy_spec(cfg["energy_model"])
-        cfg["energy_model"] = spec.to_dict()
-        objectives = [str(o) for o in cfg["objectives"]]
-        from repro.costs.pareto import resolve_objectives
-
-        try:
-            resolve_objectives(objectives)
-        except ValueError as exc:
-            raise BadRequestError(f"bad dse objectives: {exc}") from None
-        key, hit = self._cached("dse", cfg)
-        if hit is not None:
-            return self._hit_response("dse", hit)
-
-        def _run() -> Tuple[Dict[str, Any], RunReport]:
-            from repro.costs.models import use_model
-            from repro.pipeline import explore_pipeline, pareto_analysis
-
-            with use_model(spec), telemetry.scoped() as scope:
-                rows = explore_pipeline(
-                    tile_counts=[int(t) for t in cfg["tile_counts"]],
-                    duplication_modes=[str(d) for d in cfg["duplication_modes"]],
-                    batch_sizes=[int(b) for b in cfg["batch_sizes"]],
-                    adc_bits=[int(a) for a in cfg["adc_bits"]],
-                    workload=str(cfg["workload"]),
-                    micro_batch=int(cfg["micro_batch"]),
-                    model_seed=int(cfg["model_seed"]),
-                    seed=int(cfg["seed"]),
-                    workers=workers,
-                )
-            pareto = pareto_analysis(rows, objectives)
-            report = RunReport.from_counters(
-                scope.snapshot(include_timers=False)["counters"], label="dse"
-            )
-            return {"rows": rows, "pareto": pareto}, report
-
-        try:
-            async with self._compute_lock:
-                result, report = await asyncio.to_thread(_run)
-        except ValueError as exc:
-            raise BadRequestError(f"bad dse request: {exc}") from None
-        return self._finish("dse", key, result, report)
-
-    # -------------------------------------------------------- kind:pipeline
-    async def _handle_pipeline(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        cfg = _normalize(params, PIPELINE_DEFAULTS, "pipeline")
-        spec = _energy_spec(cfg["energy_model"])
-        cfg["energy_model"] = spec.to_dict()
-        key, hit = self._cached("pipeline", cfg)
-        if hit is not None:
-            return self._hit_response("pipeline", hit)
-
-        def _run() -> Tuple[Dict[str, Any], RunReport]:
-            from repro.costs.models import use_model
-            from repro.pipeline import (
-                PipelineScheduler,
-                ScheduleParams,
-                TileInventory,
-                allocate,
-            )
-            from repro.pipeline.explore import (
-                reference_conv_graph,
-                reference_graph,
-            )
-
-            workload = str(cfg["workload"])
-            model_seed = int(cfg["model_seed"])
-            graph, graph_hit = self.artifacts.get_or_create(
-                ("graph", workload, model_seed),
-                lambda: (
-                    reference_conv_graph(model_seed)
-                    if workload == "cnn"
-                    else reference_graph(model_seed=model_seed)
-                ),
-            )
-            alloc, alloc_hit = self.artifacts.get_or_create(
-                (
-                    "alloc",
-                    workload,
-                    model_seed,
-                    int(cfg["tiles"]),
-                    str(cfg["duplication"]),
-                    int(cfg["seed"]),
-                ),
-                lambda: allocate(
-                    graph,
-                    TileInventory(n_tiles=int(cfg["tiles"])),
-                    duplication=str(cfg["duplication"]),
-                    rng=int(cfg["seed"]),
-                ),
-            )
-            input_rng = np.random.default_rng(model_seed + 1)
-            if graph.input_is_image:
-                edge = graph.nodes[0].image_size
-                x = input_rng.uniform(
-                    0.0, 1.0, size=(int(cfg["batch"]), edge, edge)
-                )
-            else:
-                x = input_rng.uniform(
-                    0.0, 1.0, size=(int(cfg["batch"]), graph.in_features)
-                )
-            sched = PipelineScheduler(
-                alloc, ScheduleParams(micro_batch=int(cfg["micro_batch"]))
-            )
-            with use_model(spec):
-                run = sched.run(x, mode="pipelined", noisy=False)
-            result = {
-                "stage_table": run.stage_table(),
-                "throughput": run.throughput,
-                "utilization": run.utilization(),
-                "makespan_s": run.makespan,
-                "artifact_hits": {"graph": graph_hit, "alloc": alloc_hit},
-            }
-            return result, run.report("pipeline")
-
-        try:
-            async with self._compute_lock:
-                result, report = await asyncio.to_thread(_run)
-        except ValueError as exc:
-            raise BadRequestError(f"bad pipeline request: {exc}") from None
-        return self._finish("pipeline", key, result, report)
-
     # ---------------------------------------------------------- kind:faults
     async def _handle_faults(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        params = dict(params)
-        try:
-            cell_yield = float(params.pop("cell_yield", 0.9))
-            seed = int(params.pop("seed", 0))
-        except (TypeError, ValueError):
-            raise BadRequestError(
-                "faults parameters cell_yield and seed must be numbers"
-            ) from None
-        model_params = params.pop("model", {})
-        if params:
-            raise BadRequestError(
-                f"unknown faults parameter(s): {', '.join(sorted(params))}"
-            )
+        cfg = _normalize(params, FAULTS_DEFAULTS, "faults")
+        cell_yield = float(cfg["cell_yield"])
         if not 0.0 < cell_yield <= 1.0:
             raise BadRequestError(
-                f"cell_yield must be in (0, 1], got {cell_yield}"
+                f"cell_yield must be in (0, 1], got {cell_yield}",
+                field="cell_yield",
             )
-        artifact, _ = self.model_artifact(model_params)
+        artifact, _ = self.model_artifact(cfg["model"])
         fp = artifact.fingerprint
         with telemetry.scoped() as scope:
             rate = artifact.deployed.inject_yield_faults(
-                cell_yield, rng=np.random.default_rng(seed)
+                cell_yield, rng=np.random.default_rng(cfg["seed"])
             )
         # The deployment mutated in place: anything derived from its
         # previous state is stale.  Bump the version (future infer keys
@@ -742,9 +822,7 @@ class SimulationService:
         artifact.version += 1
         invalidated = self.results.invalidate_tag(fp)
         telemetry.current().incr("serve.model_mutations")
-        report = RunReport.from_counters(
-            scope.snapshot(include_timers=False)["counters"], label="faults"
-        )
+        report = _scope_report(scope, label="faults")
         result = {
             "fault_rate": rate,
             "cell_yield": cell_yield,
@@ -753,144 +831,7 @@ class SimulationService:
             "invalidated_results": invalidated,
         }
         # Mutations are never cached.
-        return self._finish(
-            "faults", None, result, report, cache=False
-        )
-
-    # ------------------------------------------------------------- kind:ecc
-    async def _handle_ecc(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        params = dict(params)
-        workers = params.pop("workers", 0)
-        cfg = _normalize(params, ECC_DEFAULTS, "ecc")
-        spec = _energy_spec(cfg["energy_model"])
-        cfg["energy_model"] = spec.to_dict()
-        # ``workers`` never changes results (the advisor rides the
-        # bit-identical sweep engine), so it stays out of the key; the
-        # energy-model spec *is* in it, so static and value-aware advisor
-        # runs can never share a warm hit.
-        key, hit = self._cached("ecc", cfg)
-        if hit is not None:
-            return self._hit_response("ecc", hit)
-
-        def _run() -> Tuple[Dict[str, Any], RunReport]:
-            from repro.costs.models import use_model
-            from repro.testing.ecc_advisor import (
-                advise_ecc,
-                ecc_advisor_analysis,
-            )
-
-            with use_model(spec), telemetry.scoped() as scope:
-                rows, grid_report = advise_ecc(
-                    codes=[str(c) for c in cfg["codes"]],
-                    yields=[float(y) for y in cfg["yields"]],
-                    scenarios=[str(s) for s in cfg["scenarios"]] or None,
-                    data_bits=int(cfg["data_bits"]),
-                    mc_words=int(cfg["mc_words"]),
-                    words_per_array=int(cfg["words_per_array"]),
-                    trials=int(cfg["trials"]),
-                    seed=int(cfg["seed"]),
-                    workers=workers,
-                    with_report=True,
-                )
-            advice = ecc_advisor_analysis(rows)
-            outer = RunReport.from_counters(
-                scope.snapshot(include_timers=False)["counters"],
-                label="ecc",
-            )
-            return {"rows": rows, "advice": advice}, outer.merge(grid_report)
-
-        try:
-            async with self._compute_lock:
-                result, report = await asyncio.to_thread(_run)
-        except ValueError as exc:
-            raise BadRequestError(f"bad ecc request: {exc}") from None
-        report.label = "ecc"
-        return self._finish("ecc", key, result, report)
-
-    # ------------------------------------------------------- kind:attention
-    async def _handle_attention(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        params = dict(params)
-        workers = params.pop("workers", 0)
-        cfg = _normalize(params, ATTENTION_DEFAULTS, "attention")
-        spec = _energy_spec(cfg["energy_model"])
-        cfg["energy_model"] = spec.to_dict()
-        # ``workers`` stays out of the key (bit-identical engine); the
-        # energy-model spec is *in* it, so static and value-aware runs of
-        # the same geometry can never share a warm hit.
-        key, hit = self._cached("attention", cfg)
-        if hit is not None:
-            return self._hit_response("attention", hit)
-
-        def _run() -> Tuple[Dict[str, Any], RunReport]:
-            from repro.costs.models import use_model
-            from repro.workloads import explore_attention
-
-            with use_model(spec), telemetry.scoped() as scope:
-                rows = explore_attention(
-                    seqs=[int(s) for s in cfg["seqs"]],
-                    d_heads=[int(d) for d in cfg["d_heads"]],
-                    micro_batches=[int(m) for m in cfg["micro_batches"]],
-                    d_model=int(cfg["d_model"]),
-                    batch=int(cfg["batch"]),
-                    n_tiles=int(cfg["n_tiles"]),
-                    model_seed=int(cfg["model_seed"]),
-                    trials=int(cfg["trials"]),
-                    seed=int(cfg["seed"]),
-                    workers=workers,
-                )
-            report = RunReport.from_counters(
-                scope.snapshot(include_timers=False)["counters"],
-                label="attention",
-            )
-            return {"rows": rows}, report
-
-        try:
-            async with self._compute_lock:
-                result, report = await asyncio.to_thread(_run)
-        except ValueError as exc:
-            raise BadRequestError(f"bad attention request: {exc}") from None
-        return self._finish("attention", key, result, report)
-
-    # ----------------------------------------------------------- kind:train
-    async def _handle_train(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        params = dict(params)
-        workers = params.pop("workers", 0)
-        cfg = _normalize(params, TRAIN_DEFAULTS, "train")
-        spec = _energy_spec(cfg["energy_model"])
-        cfg["energy_model"] = spec.to_dict()
-        key, hit = self._cached("train", cfg)
-        if hit is not None:
-            return self._hit_response("train", hit)
-
-        def _run() -> Tuple[Dict[str, Any], RunReport]:
-            from repro.costs.models import use_model
-            from repro.workloads import explore_training
-
-            with use_model(spec), telemetry.scoped() as scope:
-                rows = explore_training(
-                    lives=[float(v) for v in cfg["lives"]],
-                    drift_nus=[float(v) for v in cfg["drift_nus"]],
-                    epochs=int(cfg["epochs"]),
-                    n_features=int(cfg["n_features"]),
-                    n_classes=int(cfg["n_classes"]),
-                    write_sigma=float(cfg["write_sigma"]),
-                    backend=str(cfg["backend"]),
-                    trials=int(cfg["trials"]),
-                    seed=int(cfg["seed"]),
-                    workers=workers,
-                )
-            report = RunReport.from_counters(
-                scope.snapshot(include_timers=False)["counters"],
-                label="train",
-            )
-            return {"rows": rows}, report
-
-        try:
-            async with self._compute_lock:
-                result, report = await asyncio.to_thread(_run)
-        except ValueError as exc:
-            raise BadRequestError(f"bad train request: {exc}") from None
-        return self._finish("train", key, result, report)
+        return self._finish("faults", None, result, report, cache=False)
 
     # ----------------------------------------------------------- kind:stats
     async def _handle_stats(self, params: Dict[str, Any]) -> Dict[str, Any]:
@@ -898,13 +839,8 @@ class SimulationService:
             raise BadRequestError("stats takes no parameters")
         report = self.lifetime_report
         report.validate()
-        return {
-            "ok": True,
-            "kind": "stats",
-            "cache": "none",
-            "result": self.stats(),
-            "report": report.to_dict(),
-        }
+        payload = {"result": self.stats(), "report": report.to_dict()}
+        return self._response("stats", "none", payload)
 
     # ------------------------------------------------------------ telemetry
     def stats(self) -> Dict[str, Any]:

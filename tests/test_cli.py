@@ -179,16 +179,14 @@ class TestParser:
                 "0.0",
                 "--epochs",
                 "3",
-                "--backend",
-                "scalar",
             ]
         )
         assert args.lives == "8,1e6"
         assert args.drift_nus == "0.0"
         assert args.epochs == 3
-        assert args.backend == "scalar"
+        # The update backend is a library test oracle, not a CLI flag.
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["train", "--backend", "gpu"])
+            build_parser().parse_args(["train", "--backend", "scalar"])
 
 
 class TestExecution:
@@ -459,3 +457,66 @@ class TestExecution:
         assert "Pipeline stage utilization" in out
         assert "pipeline.transfer.bytes" in out
         assert "tile utilization" in out
+
+
+class TestSharedJobPath:
+    """A CLI job command and the ``cimflow serve`` kind it mirrors make
+    one library call: the ``--json`` file equals the served result."""
+
+    @pytest.mark.parametrize(
+        "argv, kind, params, key",
+        [
+            (
+                ["ecc-advisor", "--codes", "secded,bch", "--yields", "0.999",
+                 "--mc-words", "128", "--trials", "1"],
+                "ecc",
+                {"codes": ["secded", "bch"], "yields": [0.999],
+                 "mc_words": 128, "trials": 1},
+                None,
+            ),
+            (
+                ["attention", "--seqs", "4", "--d-heads", "4",
+                 "--micro-batches", "2", "--d-model", "8", "--batch", "8"],
+                "attention",
+                {"seqs": [4], "d_heads": [4], "micro_batches": [2],
+                 "d_model": 8, "batch": 8},
+                "rows",
+            ),
+            (
+                ["train", "--lives", "8", "--drift-nus", "0.01",
+                 "--epochs", "2"],
+                "train",
+                {"lives": [8.0], "drift_nus": [0.01], "epochs": 2},
+                "rows",
+            ),
+            (
+                ["pipeline", "--tiles", "4,8", "--batch", "8",
+                 "--micro-batch", "4", "--workload", "mlp",
+                 "--objectives", "accuracy,energy",
+                 "--energy-model", "value_aware"],
+                "dse",
+                {"tile_counts": [4, 8], "batch_sizes": [8], "micro_batch": 4,
+                 "workload": "mlp", "objectives": ["accuracy", "energy"],
+                 "energy_model": "value_aware"},
+                None,
+            ),
+        ],
+    )
+    def test_cli_json_equals_serve_result(
+        self, tmp_path, capsys, argv, kind, params, key
+    ):
+        import asyncio
+        import json
+
+        from repro.serve import SimulationService
+
+        path = tmp_path / "out.json"
+        argv = ["--seed", "3", *argv, "--workers", "0", "--json", str(path)]
+        assert main(argv) == 0
+        response = asyncio.run(
+            SimulationService().submit(
+                {"kind": kind, "params": {**params, "seed": 3}}
+            )
+        )
+        served = response["result"] if key is None else response["result"][key]
+        assert json.loads(path.read_text()) == served

@@ -172,6 +172,25 @@ class TestErrors:
         assert len(results) == 3
         assert all(isinstance(r, RuntimeError) for r in results)
 
+    def test_unstackable_blocks_fail_every_waiter(self):
+        """Blocks of different widths cannot be stacked; the timer-task
+        flush must fail every future instead of leaving them pending."""
+
+        async def main():
+            batcher = RequestBatcher(window_s=0.01, max_batch=8)
+            return await asyncio.wait_for(
+                asyncio.gather(
+                    batcher.submit("m", np.ones((1, 16)), doubling_runner),
+                    batcher.submit("m", np.ones((1, 3)), doubling_runner),
+                    return_exceptions=True,
+                ),
+                timeout=5.0,
+            )
+
+        results = run(main())
+        assert len(results) == 2
+        assert all(isinstance(r, ValueError) for r in results)
+
     def test_rejects_bad_input_shapes(self):
         async def main():
             batcher = RequestBatcher()
