@@ -105,18 +105,18 @@ def test_ecc_monte_carlo_backends(run_once):
     baseline; the block codec turns it into column reductions.  Gate:
     the best non-scalar backend is >= 3x the baseline throughput.
     """
-    from repro.testing.ecc import EccAnalysis, HammingSecDed
+    from repro.testing.ecc import (
+        EccAnalysis,
+        HammingSecDed,
+        _mc_failure_rate_scalar,
+    )
 
     analysis = EccAnalysis(HammingSecDed(64))
     ber, trials = 0.01, 4000
 
     def experiment():
         scalar, t_scalar = _timed(
-            analysis.monte_carlo_failure_rate,
-            ber,
-            trials=trials,
-            rng=0,
-            vectorized=False,
+            _mc_failure_rate_scalar, analysis.code, ber, trials, rng=0
         )
         vec, t_vec = _timed(
             analysis.monte_carlo_failure_rate,

@@ -427,8 +427,9 @@ def main():
     alloc = allocate(graph, TileInventory(n_tiles=4), duplication="none", rng=0)
     x = np.random.default_rng(1).uniform(0, 1, (64, graph.in_features))
     sched = PipelineScheduler(alloc, ScheduleParams(micro_batch=8))
-    seq = sched.run(x, mode="sequential")
-    pipe = sched.run(x, mode="pipelined")
+    trace = sched.execute(x)
+    seq = trace.schedule("sequential")
+    pipe = trace.schedule("pipelined")
     speedup = pipe.throughput / seq.throughput
     dse = explore_pipeline(
         tile_counts=(8, 32),

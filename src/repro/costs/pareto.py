@@ -63,6 +63,12 @@ def resolve_objectives(
     return out
 
 
+#: Relative spread below which :func:`knee_point` treats an objective as
+#: flat: far above the ~1e-15 left by summing the same charges in another
+#: order, far below the differences a DSE axis is meant to resolve.
+_FLAT_RTOL = 1e-12
+
+
 def _objective_values(
     rows: Sequence[Mapping[str, object]],
     name: str,
@@ -135,7 +141,11 @@ def knee_point(
 
     Each objective is normalized to [0, 1] over the front (1 = best);
     the knee is the front row closest to ``(1, ..., 1)``.  Ties break
-    toward the earliest row, keeping the choice deterministic.
+    toward the earliest row, keeping the choice deterministic.  An
+    objective whose spread over the front is rounding noise (at most
+    :data:`_FLAT_RTOL` of its magnitude) counts as flat: normalizing it
+    would stretch last-ulp summation-order differences to the full
+    ``[0, 1]`` range and let them pick the knee.
     """
     if front is None:
         front = pareto_front(rows, objective_names, objectives=objectives)
@@ -145,8 +155,10 @@ def knee_point(
     scores = _score_matrix([rows[i] for i in front], resolved)
     lo = scores.min(axis=0)
     span = scores.max(axis=0) - lo
-    span[span == 0] = 1.0
+    flat = span <= _FLAT_RTOL * np.abs(scores).max(axis=0)
+    span[flat] = 1.0
     normalized = (scores - lo) / span
+    normalized[:, flat] = 0.0
     distances = np.sqrt(np.sum((1.0 - normalized) ** 2, axis=1))
     return int(front[int(np.argmin(distances))])
 

@@ -47,6 +47,7 @@ from repro.pipeline.ir import (
     trace_mlp,
 )
 from repro.pipeline.schedule import (
+    ExecutionTrace,
     PipelineScheduler,
     ScheduleParams,
     ScheduleResult,
@@ -69,6 +70,7 @@ __all__ = [
     "Interconnect",
     "ScheduleParams",
     "ScheduleResult",
+    "ExecutionTrace",
     "PipelineScheduler",
     "DEFAULT_TILE_COUNTS",
     "DEFAULT_LAYER_SIZES",

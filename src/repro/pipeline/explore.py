@@ -183,8 +183,9 @@ def _pipeline_point(
     else:
         x = input_rng.uniform(0.0, 1.0, size=(batch, graph.in_features))
     sched = PipelineScheduler(alloc, ScheduleParams(micro_batch=micro_batch))
-    seq = sched.run(x, mode="sequential", noisy=noisy)
-    pipe = sched.run(x, mode="pipelined", noisy=noisy)
+    trace = sched.execute(x, noisy=noisy)
+    seq = trace.schedule("sequential")
+    pipe = trace.schedule("pipelined")
     # Accuracy: fraction of samples whose argmax matches the float
     # reference forward pass — the fidelity the ADC-resolution axis
     # trades against energy/area.

@@ -16,20 +16,32 @@ Two schedule modes share one functional execution:
   micro-batch as soon as it arrives, so all stages overlap in steady
   state and throughput approaches ``1 / max_stage_service``.
 
+A run is two passes.  :meth:`PipelineScheduler.execute` is the
+*functional* pass: it runs every (stage, micro-batch) once and records
+an :class:`ExecutionTrace` — outputs, per-stage service times, per-edge
+transfer latencies, transfer bytes and charged cost categories.
+:meth:`ExecutionTrace.schedule` is the *timing* pass: it propagates
+event times over the recorded latencies (arrival -> server-free ->
+finish) under one mode, and runs no VMMs.  :meth:`PipelineScheduler.run`
+is ``execute(x, noisy).schedule(mode)``; callers comparing modes execute
+once and schedule each mode.
+
 **Numerics are schedule-invariant by construction.**  Functional results
 are computed per (stage, micro-batch) with a *static* round-robin
 replica assignment (:meth:`StageAllocation.replica_for`), and every
-replica sees its micro-batches in index order in both modes — so each
-tile's RNG stream, and therefore the output, is bit-identical between the
-pipelined run and the layer-sequential reference.  Event times are then
-propagated separately in topological order (arrival -> server-free ->
-finish), which is where the two modes differ.
+replica sees its micro-batches in index order — so each tile's RNG
+stream, and therefore the output, does not depend on the schedule mode.
 
-All compute energy flows through the existing per-tile
-:class:`~repro.core.metrics.CostAccumulator` charges and all transfer
-energy through the interconnect's accumulator, so a
-:class:`~repro.utils.telemetry.RunReport` built from a run conserves:
-fractions sum to 1 and nothing is charged twice.
+**Costs are charged into per-run accumulators.**  For the length of the
+functional pass every tile's and the interconnect's
+:class:`~repro.core.metrics.CostAccumulator` is swapped for a fresh one
+(and merged back afterwards), so a result is a pure function of
+(allocation, input, micro_batch, noisy): it does not depend on what ran
+on the allocation before.  Functional counters (VMMs, conversions,
+``pipeline.transfers``, cost charges) are counted once per ``execute``;
+timing counters (``pipeline.makespan_s``, busy seconds) once per
+``schedule``.  A :class:`~repro.utils.telemetry.RunReport` built from a
+result conserves: fractions sum to 1 and nothing is charged twice.
 """
 
 from __future__ import annotations
@@ -39,7 +51,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.pipeline.allocate import Allocation
+from repro.core.metrics import CostAccumulator
+from repro.pipeline.allocate import Allocation, StageAllocation
 from repro.pipeline.interconnect import Interconnect, InterconnectParams
 from repro.pipeline.ir import GRAPH_INPUT
 from repro.utils import telemetry
@@ -48,7 +61,12 @@ from repro.utils.telemetry import RunReport
 #: Pseudo-consumer name for the sink -> host output edge.
 _HOST = "@host"
 
-__all__ = ["ScheduleParams", "ScheduleResult", "PipelineScheduler"]
+__all__ = [
+    "ScheduleParams",
+    "ScheduleResult",
+    "ExecutionTrace",
+    "PipelineScheduler",
+]
 
 _MODES = ("pipelined", "sequential")
 
@@ -70,20 +88,6 @@ class ScheduleParams:
             raise ValueError(
                 f"micro_batch must be >= 1, got {self.micro_batch}"
             )
-
-
-def _subtract_categories(
-    after: Dict[str, Dict[str, float]], before: Dict[str, Dict[str, float]]
-) -> Dict[str, Dict[str, float]]:
-    out: Dict[str, Dict[str, float]] = {}
-    for name in sorted(after):
-        prev = before.get(name, {})
-        entry = {
-            key: after[name][key] - prev.get(key, 0.0) for key in after[name]
-        }
-        if any(abs(v) > 0 for v in entry.values()):
-            out[name] = entry
-    return out
 
 
 def _peak_overlap(intervals: List[Tuple[float, float]]) -> int:
@@ -118,7 +122,7 @@ class ScheduleResult:
     stage_busy_s: List[float]            # server-seconds per stage
     buffer_peaks: List[int]              # per-stage input-buffer peak depth
     transfer_bytes: float
-    categories: Dict[str, Dict[str, float]]   # this run's cost deltas
+    categories: Dict[str, Dict[str, float]]   # this run's charged costs
     area: Dict[str, float]
 
     # -------------------------------------------------------------- metrics
@@ -232,8 +236,8 @@ class ScheduleResult:
         return counters
 
     def report(self, label: Optional[str] = None) -> RunReport:
-        """Structured :class:`RunReport` for this run: the run's cost
-        deltas (compute + interconnect, nothing double-charged), the
+        """Structured :class:`RunReport` for this run: the run's charged
+        costs (compute + interconnect, nothing double-charged), the
         pipeline side counters, and the allocated-machine area."""
         return RunReport(
             label=label or f"pipeline_{self.mode}",
@@ -241,6 +245,69 @@ class ScheduleResult:
             counters=self.side_counters(),
             area=dict(self.area),
         )
+
+
+@dataclass
+class ExecutionTrace:
+    """One functional pass of a batch, ready to be timed under any mode.
+
+    Holds what :meth:`PipelineScheduler.execute` recorded: the outputs,
+    per-(stage, micro-batch) service times, per-(edge, micro-batch)
+    transfer latencies, transfer bytes and the charged cost categories.
+    :meth:`schedule` turns it into a :class:`ScheduleResult` without
+    running a single VMM, so any number of schedule modes share one
+    functional execution.
+    """
+
+    allocation: Allocation
+    outputs: np.ndarray
+    micro_batch: int
+    service_times: List[List[float]]         # [stage][microbatch] seconds
+    transfer_latencies: List[List[float]]    # [edge][microbatch] seconds
+    edge_list: List[Tuple[str, str]]         # (producer, consumer) pairs
+    transfer_bytes: float
+    categories: Dict[str, Dict[str, float]]  # this pass's charged costs
+    area: Dict[str, float]
+
+    def schedule(self, mode: str = "pipelined") -> ScheduleResult:
+        """Time the recorded pass under ``mode`` and build its result.
+
+        Each call adds the result's timing side counters to the current
+        telemetry scope; the functional counters (transfers, cost
+        charges) were counted once, by :meth:`PipelineScheduler.execute`.
+        """
+        _check_mode(mode)
+        stages = self.allocation.stages
+        makespan, busy, buffer_peaks = _propagate(
+            stages,
+            self.service_times,
+            self.transfer_latencies,
+            self.edge_list,
+            mode,
+        )
+        result = ScheduleResult(
+            mode=mode,
+            outputs=self.outputs.copy(),
+            makespan=makespan,
+            n_samples=self.outputs.shape[0],
+            micro_batch=self.micro_batch,
+            stage_names=[s.name for s in stages],
+            replica_counts=[s.n_replicas for s in stages],
+            stage_tiles=[s.n_tiles for s in stages],
+            service_times=[list(row) for row in self.service_times],
+            stage_busy_s=busy,
+            buffer_peaks=buffer_peaks,
+            transfer_bytes=self.transfer_bytes,
+            categories={k: dict(v) for k, v in self.categories.items()},
+            area=dict(self.area),
+        )
+        # Surface the run's utilization/transfer story into the current
+        # telemetry scope so sweep-engine captures carry it.
+        scope = telemetry.current()
+        for name, value in result.side_counters().items():
+            if not name.startswith("pipeline.transfer"):
+                scope.incr(name, value)  # transfers were counted at charge
+        return result
 
 
 class PipelineScheduler:
@@ -277,29 +344,61 @@ class PipelineScheduler:
     ) -> ScheduleResult:
         """Run one batch through the machine under ``mode`` timing.
 
-        Functional execution (and therefore the output array) is
-        identical across modes; only the event timeline differs.
+        Shorthand for ``execute(x, noisy).schedule(mode)``.  To time one
+        batch under several modes, call :meth:`execute` once and
+        :meth:`ExecutionTrace.schedule` per mode.
         """
-        if mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+        _check_mode(mode)
+        return self.execute(x, noisy=noisy).schedule(mode)
+
+    def execute(self, x: np.ndarray, noisy: bool = False) -> ExecutionTrace:
+        """Functional pass: run every (stage, micro-batch) once.
+
+        Every tile's and the interconnect's :class:`CostAccumulator` is
+        swapped for a fresh one for the length of the pass, so the
+        recorded latencies and categories are this pass's charges alone
+        — a pure function of (allocation, input, micro_batch, noisy),
+        independent of whatever ran on the allocation before.  The
+        pass's charges are merged back into the long-lived accumulators
+        afterwards, so lifetime totals still cover every run.
+        """
         graph = self.allocation.graph
         x = graph.validate_input(x)
-        n_samples = x.shape[0]
-        if n_samples < 1:
+        if x.shape[0] < 1:
             raise ValueError("batch must contain at least one sample")
-        mb = self.params.micro_batch
-        bounds = list(range(0, n_samples, mb))
-        chunks: List[np.ndarray] = [x[lo : lo + mb] for lo in bounds]
-        n_mb = len(chunks)
+        cores = [
+            core
+            for stage in self.allocation.stages
+            for accel in stage.replicas
+            for tile_row in accel.tiles
+            for core in tile_row
+        ]
+        lifetime = [core.costs for core in cores]
+        link_lifetime = self.interconnect.costs
+        for core in cores:
+            core.costs = CostAccumulator()
+        self.interconnect.costs = CostAccumulator()
+        try:
+            return self._functional_pass(x, noisy)
+        finally:
+            for core, acc in zip(cores, lifetime):
+                acc.merge(core.costs)
+                core.costs = acc
+            link_lifetime.merge(self.interconnect.costs)
+            self.interconnect.costs = link_lifetime
+
+    def _functional_pass(self, x: np.ndarray, noisy: bool) -> ExecutionTrace:
+        graph = self.allocation.graph
         stages = self.allocation.stages
+        mb = self.params.micro_batch
+        chunks: List[np.ndarray] = [
+            x[lo : lo + mb] for lo in range(0, x.shape[0], mb)
+        ]
+        n_mb = len(chunks)
 
-        cost_before = self._merged_categories()
-        bytes_before = self.interconnect.bytes_moved
-
-        # ---- functional pass: topological stage-major so every replica
-        # consumes its micro-batches in index order regardless of schedule
-        # mode.  Stages are stored in topo order, so every producer's
-        # payload exists when its consumer runs.
+        # Topological stage-major order, so every replica consumes its
+        # micro-batches in index order and every producer's payload
+        # exists when its consumer runs (stages are stored in topo order).
         service: List[List[float]] = []
         payloads: Dict[str, List[np.ndarray]] = {GRAPH_INPUT: chunks}
         for stage in stages:
@@ -323,15 +422,13 @@ class PipelineScheduler:
                 serv_row.append((lat1 - lat0) / replica.n_tiles)
             service.append(serv_row)
             payloads[stage.name] = outs
-        outputs = np.concatenate(payloads[graph.sink_name], axis=0)
 
-        # ---- transfer charging: one payload per edge per micro-batch.
-        # The edge list covers every producer -> consumer pair (so a
-        # fork charges each branch edge separately), the host -> entry
-        # edges and the sink -> host edge, identically in both modes so
-        # energy is schedule-invariant.  The actual activation chunks
-        # ride along so a value-aware energy model can price each wire by
-        # its payload's switching activity.
+        # Transfer charging: one payload per edge per micro-batch.  The
+        # edge list covers every producer -> consumer pair (so a fork
+        # charges each branch edge separately), the host -> entry edges
+        # and the sink -> host edge.  The actual activation chunks ride
+        # along so a value-aware energy model can price each wire by its
+        # payload's switching activity.
         edge_list: List[Tuple[str, str]] = [
             (src, stage.name)
             for stage in stages
@@ -350,106 +447,89 @@ class PipelineScheduler:
             for src, _ in edge_list
         ]
 
-        # ---- event propagation.
-        finish, busy, buffer_peaks = self._propagate(
-            service, transfer_lat, edge_list, mode
-        )
-        makespan = finish
-
-        result = ScheduleResult(
-            mode=mode,
-            outputs=outputs,
-            makespan=makespan,
-            n_samples=n_samples,
+        return ExecutionTrace(
+            allocation=self.allocation,
+            outputs=np.concatenate(payloads[graph.sink_name], axis=0),
             micro_batch=mb,
-            stage_names=[s.name for s in stages],
-            replica_counts=[s.n_replicas for s in stages],
-            stage_tiles=[s.n_tiles for s in stages],
             service_times=service,
-            stage_busy_s=busy,
-            buffer_peaks=buffer_peaks,
-            transfer_bytes=float(
-                self.interconnect.bytes_moved - bytes_before
-            ),
-            categories=_subtract_categories(
-                self._merged_categories(), cost_before
-            ),
+            transfer_latencies=transfer_lat,
+            edge_list=edge_list,
+            transfer_bytes=self.interconnect.costs.total.data_moved,
+            categories=self._merged_categories(),
             area=self.allocation.area_breakdown(),
         )
-        # Surface the run's utilization/transfer story into the current
-        # telemetry scope so sweep-engine captures carry it.
-        scope = telemetry.current()
-        for name, value in result.side_counters().items():
-            if not name.startswith("pipeline.transfer"):
-                scope.incr(name, value)  # transfers were counted at charge
-        return result
 
-    # ---------------------------------------------------------------- timing
-    def _propagate(
-        self,
-        service: List[List[float]],
-        transfer_lat: List[List[float]],
-        edge_list: List[Tuple[str, str]],
-        mode: str,
-    ) -> Tuple[float, List[float], List[int]]:
-        """Propagate ready events through the stage DAG.
 
-        Links carry one micro-batch at a time (serialized per edge);
-        every replica is one server.  A join stage's micro-batch is ready
-        only when *every* in-edge has delivered it.  ``sequential`` adds
-        a barrier: a stage's first start waits for its whole input layer.
-        """
-        stages = self.allocation.stages
-        n_mb = len(service[0]) if service else 0
+def _check_mode(mode: str) -> None:
+    if mode not in _MODES:
+        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
 
-        link_free = [0.0] * len(edge_list)
-        done: Dict[str, List[float]] = {
-            GRAPH_INPUT: [0.0] * n_mb  # host data is resident at t=0
-        }
-        busy = [0.0] * len(stages)
-        buffer_peaks: List[int] = []
 
-        in_edges: Dict[str, List[int]] = {s.name: [] for s in stages}
-        for e, (_, dst) in enumerate(edge_list):
-            if dst in in_edges:
-                in_edges[dst].append(e)
+# -------------------------------------------------------------------- timing
+def _propagate(
+    stages: List[StageAllocation],
+    service: List[List[float]],
+    transfer_lat: List[List[float]],
+    edge_list: List[Tuple[str, str]],
+    mode: str,
+) -> Tuple[float, List[float], List[int]]:
+    """Propagate ready events through the stage DAG.
 
-        for s, stage in enumerate(stages):
-            # Every in-edge ships micro-batch m once its producer finished
-            # it; the stage sees m when the slowest in-edge delivers.
-            arrival = [0.0] * n_mb
-            for e in in_edges[stage.name]:
-                src_done = done[edge_list[e][0]]
-                for m in range(n_mb):
-                    start_x = max(src_done[m], link_free[e])
-                    link_free[e] = start_x + transfer_lat[e][m]
-                    arrival[m] = max(arrival[m], link_free[e])
-            barrier = max(arrival) if (mode == "sequential" and arrival) else 0.0
+    Links carry one micro-batch at a time (serialized per edge); every
+    replica is one server.  A join stage's micro-batch is ready only when
+    *every* in-edge has delivered it.  ``sequential`` adds a barrier: a
+    stage's first start waits for its whole input layer.
+    """
+    n_mb = len(service[0]) if service else 0
 
-            server_free = [0.0] * stage.n_replicas
-            starts = [0.0] * n_mb
-            finishes = [0.0] * n_mb
+    link_free = [0.0] * len(edge_list)
+    done: Dict[str, List[float]] = {
+        GRAPH_INPUT: [0.0] * n_mb  # host data is resident at t=0
+    }
+    busy = [0.0] * len(stages)
+    buffer_peaks: List[int] = []
+
+    in_edges: Dict[str, List[int]] = {s.name: [] for s in stages}
+    for e, (_, dst) in enumerate(edge_list):
+        if dst in in_edges:
+            in_edges[dst].append(e)
+
+    for s, stage in enumerate(stages):
+        # Every in-edge ships micro-batch m once its producer finished
+        # it; the stage sees m when the slowest in-edge delivers.
+        arrival = [0.0] * n_mb
+        for e in in_edges[stage.name]:
+            src_done = done[edge_list[e][0]]
             for m in range(n_mb):
-                r = stage.replica_for(m)
-                ready = max(arrival[m], barrier)
-                start = max(ready, server_free[r])
-                finishes[m] = start + service[s][m]
-                server_free[r] = finishes[m]
-                starts[m] = start
-                busy[s] += service[s][m]
-            buffer_peaks.append(
-                _peak_overlap(
-                    [(arrival[m], max(starts[m], arrival[m])) for m in range(n_mb)]
-                )
-            )
-            done[stage.name] = finishes
+                start_x = max(src_done[m], link_free[e])
+                link_free[e] = start_x + transfer_lat[e][m]
+                arrival[m] = max(arrival[m], link_free[e])
+        barrier = max(arrival) if (mode == "sequential" and arrival) else 0.0
 
-        # Output edge back to the host (last entry of the edge list).
-        out_edge = len(edge_list) - 1
-        sink_done = done[edge_list[out_edge][0]]
-        end = 0.0
+        server_free = [0.0] * stage.n_replicas
+        starts = [0.0] * n_mb
+        finishes = [0.0] * n_mb
         for m in range(n_mb):
-            start_x = max(sink_done[m], link_free[out_edge])
-            link_free[out_edge] = start_x + transfer_lat[out_edge][m]
-            end = max(end, link_free[out_edge])
-        return end, busy, buffer_peaks
+            r = stage.replica_for(m)
+            ready = max(arrival[m], barrier)
+            start = max(ready, server_free[r])
+            finishes[m] = start + service[s][m]
+            server_free[r] = finishes[m]
+            starts[m] = start
+            busy[s] += service[s][m]
+        buffer_peaks.append(
+            _peak_overlap(
+                [(arrival[m], max(starts[m], arrival[m])) for m in range(n_mb)]
+            )
+        )
+        done[stage.name] = finishes
+
+    # Output edge back to the host (last entry of the edge list).
+    out_edge = len(edge_list) - 1
+    sink_done = done[edge_list[out_edge][0]]
+    end = 0.0
+    for m in range(n_mb):
+        start_x = max(sink_done[m], link_free[out_edge])
+        link_free[out_edge] = start_x + transfer_lat[out_edge][m]
+        end = max(end, link_free[out_edge])
+    return end, busy, buffer_peaks

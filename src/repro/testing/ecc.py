@@ -866,6 +866,25 @@ def _mc_block(
     return failed
 
 
+def _mc_failure_rate_scalar(
+    code: EccCode, ber: float, trials: int, rng: RNGLike = None
+) -> float:
+    """Word-at-a-time Monte Carlo reference for
+    :meth:`EccAnalysis.monte_carlo_failure_rate`: one encode, flip and
+    decode per trial, drawing from one stream in trial order."""
+    gen = ensure_rng(rng)
+    failures = 0
+    for _ in range(trials):
+        data = gen.integers(0, 2, size=code.data_bits).astype(np.int8)
+        codeword = code.encode(data)
+        flips = gen.random(code.codeword_bits) < ber
+        received = codeword ^ flips.astype(np.int8)
+        decoded, status = code.decode(received)
+        if status == "detected" or not np.array_equal(decoded, data):
+            failures += 1
+    return failures / trials
+
+
 @dataclass
 class EccAnalysis:
     """Word-level failure analysis of an ECC code under random BER."""
@@ -902,7 +921,6 @@ class EccAnalysis:
         rng: RNGLike = None,
         workers: Optional[int] = None,
         block_size: int = 512,
-        vectorized: bool = True,
     ) -> float:
         """Empirical fraction of words not decoded back to the original.
 
@@ -914,27 +932,12 @@ class EccAnalysis:
         and fans the blocks out over the sweep engine
         (:func:`repro.utils.parallel.run_blocks`): one spawned stream per
         block, so the rate is bit-identical for a given ``rng`` at any
-        ``workers`` count.  ``vectorized=False`` keeps the original
-        word-at-a-time scalar loop as the reference (and benchmark
-        baseline) path.
+        ``workers`` count.  :func:`_mc_failure_rate_scalar` keeps the
+        original word-at-a-time loop as the test and benchmark reference.
         """
         check_probability("ber", ber)
         if trials < 1:
             raise ValueError(f"trials must be >= 1, got {trials}")
-        if not vectorized:
-            gen = ensure_rng(rng)
-            failures = 0
-            for _ in range(trials):
-                data = gen.integers(0, 2, size=self.code.data_bits).astype(
-                    np.int8
-                )
-                codeword = self.code.encode(data)
-                flips = gen.random(self.code.codeword_bits) < ber
-                received = codeword ^ flips.astype(np.int8)
-                decoded, status = self.code.decode(received)
-                if status == "detected" or not np.array_equal(decoded, data):
-                    failures += 1
-            return failures / trials
         failed = run_blocks(
             _mc_block,
             trials,

@@ -163,8 +163,9 @@ def run_attention(
     )
     sched = PipelineScheduler(alloc, ScheduleParams(micro_batch=micro_batch))
     with telemetry.scoped() as scope:
-        seq_run = sched.run(flat, mode="sequential", noisy=noisy)
-        pipe_run = sched.run(flat, mode="pipelined", noisy=noisy)
+        trace = sched.execute(flat, noisy=noisy)
+        seq_run = trace.schedule("sequential")
+        pipe_run = trace.schedule("pipelined")
         counters = scope.snapshot(include_timers=False)["counters"]
     reference = graph.reference_forward(flat)
     n_edges = len(graph.edges()) + len(graph.entry_names) + 1

@@ -403,6 +403,22 @@ class TestPareto:
         ]
         assert knee_point(rows, ("accuracy", "energy")) == 1
 
+    def test_knee_ignores_rounding_noise(self):
+        """Energies equal up to summation order must not pick the knee:
+        a last-ulp spread is as flat as an exact tie."""
+        energy = 4.011551949901944e-10
+        rows = [
+            {"area_mm2": 0.3, "throughput": 1.0, "energy_per_sample": energy},
+            {"area_mm2": 0.6, "throughput": 2.2, "energy_per_sample": energy},
+            {"area_mm2": 1.2, "throughput": 2.4, "energy_per_sample": energy},
+        ]
+        names = ("area", "throughput", "energy")
+        tied = knee_point(rows, names)
+        for i in range(len(rows)):
+            noisy = [dict(r) for r in rows]
+            noisy[i]["energy_per_sample"] = np.nextafter(energy, 0.0)
+            assert knee_point(noisy, names) == tied == 1
+
     def test_knee_empty_rows(self):
         assert knee_point([], OBJS) is None
 

@@ -503,6 +503,30 @@ class TestPipeline:
         assert first["result"]["throughput"] > 0
         RunReport.from_dict(first["report"]).validate()
 
+    def test_pipeline_result_is_independent_of_server_history(self):
+        """A served run is priced into per-run accumulators, so reusing
+        a cached allocation after another request changes nothing but
+        ``artifact_hits``."""
+
+        async def fresh():
+            svc = make_service()
+            return await svc.submit(
+                {"kind": "pipeline", "params": {"batch": 16}}
+            )
+
+        async def after_other_request():
+            svc = make_service()
+            await svc.submit({"kind": "pipeline", "params": {"batch": 32}})
+            return await svc.submit(
+                {"kind": "pipeline", "params": {"batch": 16}}
+            )
+
+        clean, reused = run(fresh()), run(after_other_request())
+        assert reused["result"].pop("artifact_hits")["alloc"] is True
+        assert clean["result"].pop("artifact_hits")["alloc"] is False
+        assert reused["result"] == clean["result"]
+        assert reused["report"] == clean["report"]
+
 
 class TestFaultsAndInvalidation:
     def test_fault_injection_invalidates_stale_results(self):

@@ -14,7 +14,7 @@ from repro.apps.nn import accuracy_vs_yield
 from repro.costs import use_model
 from repro.faults.sweeps import endurance_capability_sweep, yield_fault_rate_sweep
 from repro.pipeline.explore import explore_pipeline
-from repro.testing.ecc import EccAnalysis, HammingSecDed
+from repro.testing.ecc import EccAnalysis, HammingSecDed, _mc_failure_rate_scalar
 
 # Small configurations: these tests check determinism, not statistics.
 _NN_KW = dict(yields=(1.0, 0.8), trials=2, n_samples=120, epochs=15)
@@ -88,9 +88,7 @@ class TestEccMonteCarlo:
         order, so rates are not bit-equal to the scalar loop — but both
         estimate the same probability."""
         vec = analysis.monte_carlo_failure_rate(0.02, trials=4000, rng=0)
-        scalar = analysis.monte_carlo_failure_rate(
-            0.02, trials=4000, rng=0, vectorized=False
-        )
+        scalar = _mc_failure_rate_scalar(analysis.code, 0.02, 4000, rng=0)
         analytic = analysis.word_failure_probability(0.02)
         assert vec == pytest.approx(analytic, rel=0.35)
         assert scalar == pytest.approx(analytic, rel=0.35)
