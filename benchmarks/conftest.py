@@ -12,75 +12,30 @@ import os
 import numpy as np
 import pytest
 
-# Machine-readable perf records, written to BENCH_sweep.json at session end
-# so the sweep-engine throughput trajectory is tracked across PRs.
-_SWEEP_RECORDS = {}
-
-# Telemetry-overhead records, written to BENCH_telemetry.json — the <5%
-# instrumentation budget trajectory.
-_TELEMETRY_RECORDS = {}
-
-# Pipeline scheduler records, written to BENCH_pipeline.json — the
-# pipelined-vs-sequential speedup and DSE determinism trajectory.
-_PIPELINE_RECORDS = {}
-
-# Serving-layer records, written to BENCH_serve.json — request coalescing
-# and results-cache speedup trajectory.
-_SERVE_RECORDS = {}
-
-# Energy-model records, written to BENCH_energy.json — value-aware pricing
-# overhead and Pareto-DSE determinism trajectory.
-_ENERGY_RECORDS = {}
-
-# ECC-layer records, written to BENCH_ecc.json — block-codec speedup over
-# the scalar reference and advisor determinism trajectory.
-_ECC_RECORDS = {}
-
-# Workload records, written to BENCH_workloads.json — the attention
-# fork-join pipeline speedup and in-situ-training fast-path trajectory.
-_WORKLOADS_RECORDS = {}
+# Machine-readable perf records, one dict of named records per
+# ``BENCH_*.json`` file, written at session end so each trajectory
+# (sweep-engine throughput, telemetry overhead, pipeline speedup, serving,
+# energy pricing, ECC codec, workloads) is tracked across PRs.
+_RECORDS = {}
 
 
-def record_sweep_metrics(name, payload):
-    """Register one benchmark's metrics (e.g. trials/sec serial vs
-    parallel) for the session's ``BENCH_sweep.json``."""
-    _SWEEP_RECORDS[name] = payload
+def _recorder(filename):
+    """``record(name, payload)`` registering one benchmark's metrics for
+    the session's ``filename``."""
+
+    def record(name, payload):
+        _RECORDS.setdefault(filename, {})[name] = payload
+
+    return record
 
 
-def record_telemetry_metrics(name, payload):
-    """Register one benchmark's telemetry-overhead metrics for the
-    session's ``BENCH_telemetry.json``."""
-    _TELEMETRY_RECORDS[name] = payload
-
-
-def record_pipeline_metrics(name, payload):
-    """Register one benchmark's pipeline-scheduler metrics for the
-    session's ``BENCH_pipeline.json``."""
-    _PIPELINE_RECORDS[name] = payload
-
-
-def record_serve_metrics(name, payload):
-    """Register one benchmark's serving-layer metrics for the session's
-    ``BENCH_serve.json``."""
-    _SERVE_RECORDS[name] = payload
-
-
-def record_energy_metrics(name, payload):
-    """Register one benchmark's energy-model metrics for the session's
-    ``BENCH_energy.json``."""
-    _ENERGY_RECORDS[name] = payload
-
-
-def record_ecc_metrics(name, payload):
-    """Register one benchmark's ECC-layer metrics for the session's
-    ``BENCH_ecc.json``."""
-    _ECC_RECORDS[name] = payload
-
-
-def record_workloads_metrics(name, payload):
-    """Register one benchmark's workload metrics (attention / in-situ
-    training) for the session's ``BENCH_workloads.json``."""
-    _WORKLOADS_RECORDS[name] = payload
+record_sweep_metrics = _recorder("BENCH_sweep.json")
+record_telemetry_metrics = _recorder("BENCH_telemetry.json")
+record_pipeline_metrics = _recorder("BENCH_pipeline.json")
+record_serve_metrics = _recorder("BENCH_serve.json")
+record_energy_metrics = _recorder("BENCH_energy.json")
+record_ecc_metrics = _recorder("BENCH_ecc.json")
+record_workloads_metrics = _recorder("BENCH_workloads.json")
 
 
 def validate_bench_schema(records, filename):
@@ -114,13 +69,19 @@ def validate_bench_schema(records, filename):
         ), f"{filename}: {field} = {value!r} is not a positive finite ratio"
 
 
-def _dump(records, filename):
-    records = dict(records)
-    records["_meta"] = {"cpu_count": os.cpu_count() or 1}
-    validate_bench_schema(records, filename)
-    path = os.path.join(os.path.dirname(__file__), filename)
+def _dump(records, path):
+    """Merge ``records`` by name into the BENCH file at ``path``: records
+    this session did not re-measure keep their committed values, so a
+    partial benchmark run never erases the rest of the file."""
+    merged = {}
+    if os.path.exists(path):
+        with open(path) as fh:
+            merged = json.load(fh)
+    merged.update(records)
+    merged["_meta"] = {"cpu_count": os.cpu_count() or 1}
+    validate_bench_schema(merged, os.path.basename(path))
     with open(path, "w") as fh:
-        json.dump(records, fh, indent=2, sort_keys=True)
+        json.dump(merged, fh, indent=2, sort_keys=True)
     print(f"\nwrote {path}")
 
 
@@ -142,20 +103,9 @@ def pytest_sessionstart(session):
 
 
 def pytest_sessionfinish(session, exitstatus):
-    if _SWEEP_RECORDS:
-        _dump(_SWEEP_RECORDS, "BENCH_sweep.json")
-    if _TELEMETRY_RECORDS:
-        _dump(_TELEMETRY_RECORDS, "BENCH_telemetry.json")
-    if _PIPELINE_RECORDS:
-        _dump(_PIPELINE_RECORDS, "BENCH_pipeline.json")
-    if _SERVE_RECORDS:
-        _dump(_SERVE_RECORDS, "BENCH_serve.json")
-    if _ENERGY_RECORDS:
-        _dump(_ENERGY_RECORDS, "BENCH_energy.json")
-    if _ECC_RECORDS:
-        _dump(_ECC_RECORDS, "BENCH_ecc.json")
-    if _WORKLOADS_RECORDS:
-        _dump(_WORKLOADS_RECORDS, "BENCH_workloads.json")
+    bench_dir = os.path.dirname(__file__)
+    for filename, records in sorted(_RECORDS.items()):
+        _dump(records, os.path.join(bench_dir, filename))
 
 
 @pytest.fixture

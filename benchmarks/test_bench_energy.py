@@ -5,9 +5,9 @@ The value-aware pricing refactor moved every energy charge behind
 historical constants) or by the values flowing through the datapath.
 Gates:
 
-* value-aware *statistical* pricing costs <= 2x the static-pricing wall
-  time on the CIMCore VMM hot loop (the moment-based mode exists
-  precisely so sweeps can afford value awareness);
+* exact value-aware pricing costs <= 2x the static-pricing wall time on
+  the CIMCore VMM hot loop (per-element pricing is a few numpy
+  reductions per event, cheap enough for sweeps);
 * the value-aware Pareto DSE (accuracy x energy x area x throughput) is
   bit-identical between serial and 2-worker runs — the active pricing
   spec ships through the pool initializer, and the front/knee derived
@@ -21,11 +21,10 @@ trajectory is tracked across PRs.
 import time
 
 import numpy as np
-import pytest
 
 from conftest import print_table, record_energy_metrics
 
-STATISTICAL_OVERHEAD_GATE = 2.0
+VALUE_AWARE_OVERHEAD_GATE = 2.0
 
 
 def _timed(fn, *args, **kwargs):
@@ -35,8 +34,8 @@ def _timed(fn, *args, **kwargs):
 
 
 def test_value_aware_pricing_overhead(run_once):
-    """The overhead gate: statistical value-aware pricing must stay
-    within 2x of static pricing on the VMM hot loop."""
+    """The overhead gate: exact value-aware pricing must stay within 2x
+    of static pricing on the VMM hot loop."""
     from repro.core.cim_core import CIMCore, CIMCoreParams
     from repro.costs import use_model
 
@@ -59,7 +58,7 @@ def test_value_aware_pricing_overhead(run_once):
         # Warm-up outside the timed region (imports, allocator).
         run_mode("static")
         out = {}
-        for model in ("static", "value_aware", "value_aware_statistical"):
+        for model in ("static", "value_aware"):
             # min-of-3 to shave scheduler noise off a 1-CPU container.
             times = []
             for _ in range(3):
@@ -71,7 +70,6 @@ def test_value_aware_pricing_overhead(run_once):
     out = run_once(experiment)
     t_static = out["static"][1]
     t_exact = out["value_aware"][1]
-    t_stat = out["value_aware_statistical"][1]
 
     rows = [
         {
@@ -94,25 +92,19 @@ def test_value_aware_pricing_overhead(run_once):
             "reps": reps,
             "static_wall_s": t_static,
             "value_aware_wall_s": t_exact,
-            "statistical_wall_s": t_stat,
-            "statistical_overhead_vs_static": t_stat / t_static,
-            "statistical_vs_exact_speedup": t_exact / t_stat,
+            "value_aware_overhead_vs_static": t_exact / t_static,
             "static_energy_j": out["static"][0],
             "value_aware_energy_j": out["value_aware"][0],
-            "statistical_energy_j": out["value_aware_statistical"][0],
         },
     )
 
     # Pricing changes the ledger, not by accident: on uniform [0, 1)
     # inputs value-aware totals must land below the worst-case static
-    # constants, and the statistical moments must track the exact sums.
+    # constants.
     assert out["value_aware"][0] < out["static"][0]
-    assert out["value_aware_statistical"][0] == pytest.approx(
-        out["value_aware"][0], rel=0.35
-    )
-    assert t_stat <= STATISTICAL_OVERHEAD_GATE * t_static, (
-        f"statistical pricing overhead {t_stat / t_static:.2f}x exceeds "
-        f"the {STATISTICAL_OVERHEAD_GATE}x gate"
+    assert t_exact <= VALUE_AWARE_OVERHEAD_GATE * t_static, (
+        f"value-aware pricing overhead {t_exact / t_static:.2f}x exceeds "
+        f"the {VALUE_AWARE_OVERHEAD_GATE}x gate"
     )
 
 

@@ -249,7 +249,7 @@ def test_yield_sweep_backends(run_once):
 def test_device_hot_kernels(run_once):
     """The single-core hot loops the sweeps spend their time in: memristor
     ODE stepping (pulse + I-V sweep) and the ReRAM write-verify iteration,
-    fast backend vs the retained scalar reference.  Bit-equality is pinned
+    fast path vs the private stepped reference.  Bit-equality is pinned
     in tier-1; here the fast paths must clear >= 2x."""
     from repro.devices.memristor import LinearIonDriftMemristor, VTEAMMemristor
     from repro.devices.reram import ReRAMCell
@@ -274,23 +274,23 @@ def test_device_hot_kernels(run_once):
 
     def experiment():
         _, t_sweep_scalar = _timed(
-            lambda: LinearIonDriftMemristor(x0=0.3).sweep(
-                1.5, 50.0, cycles=2, points_per_cycle=2000, backend="scalar"
+            lambda: LinearIonDriftMemristor(x0=0.3)._sweep_stepped(
+                1.5, 50.0, cycles=2, points_per_cycle=2000
             )
         )
         _, t_sweep_fast = _timed(
             lambda: LinearIonDriftMemristor(x0=0.3).sweep(
-                1.5, 50.0, cycles=2, points_per_cycle=2000, backend="fast"
+                1.5, 50.0, cycles=2, points_per_cycle=2000
             )
         )
         _, t_pulse_scalar = _timed(
-            lambda: VTEAMMemristor(x0=0.1).apply_voltage(
-                1.2, duration=0.02, dt=1e-6, backend="scalar"
+            lambda: VTEAMMemristor(x0=0.1)._apply_voltage_stepped(
+                1.2, duration=0.02, dt=1e-6
             )
         )
         _, t_pulse_fast = _timed(
             lambda: VTEAMMemristor(x0=0.1).apply_voltage(
-                1.2, duration=0.02, dt=1e-6, backend="fast"
+                1.2, duration=0.02, dt=1e-6
             )
         )
         # Cell construction is identical overhead on both paths — build
@@ -300,13 +300,13 @@ def test_device_hot_kernels(run_once):
         fast_cells = [_cell(s) for s in range(300)]
         _, t_wv_scalar = _timed(
             lambda: [
-                c.program_with_verify(1, max_iterations=20, backend="scalar")
+                c._program_with_verify_stepped(1, max_iterations=20)
                 for c in scalar_cells
             ]
         )
         _, t_wv_fast = _timed(
             lambda: [
-                c.program_with_verify(1, max_iterations=20, backend="fast")
+                c.program_with_verify(1, max_iterations=20)
                 for c in fast_cells
             ]
         )

@@ -722,7 +722,7 @@ def main():
         w(f"| {life_label} | {cells} |\n")
     w(
         "\nReproduce with `cimflow attention` / `cimflow train` "
-        "(pipeline speedup and\nfast/scalar backend bit-identity gated "
+        "(pipeline speedup and\nfast-path/reference bit-identity gated "
         "in `benchmarks/test_bench_workloads.py`).\n"
     )
 

@@ -551,7 +551,7 @@ def cmd_train(args) -> int:
     rows = result["rows"]
     _print_table(
         f"In-situ training: endurance life x drift over {args.epochs} "
-        f"epochs (auto update backend, {args.energy_model} energy model)",
+        f"epochs ({args.energy_model} energy model)",
         [
             {
                 "char_life": r["characteristic_life"],
@@ -670,12 +670,11 @@ def cmd_chip(args) -> int:
 def _add_energy_model_arg(sub_parser) -> None:
     sub_parser.add_argument(
         "--energy-model",
-        choices=("static", "value_aware", "value_aware_statistical"),
+        choices=("static", "value_aware"),
         default="static",
         help=(
-            "how charges are priced: static constants (default), "
-            "value-aware per-element pricing, or its cheap statistical "
-            "(moment-based) approximation"
+            "how charges are priced: static constants (default) or "
+            "value-aware per-element pricing"
         ),
     )
 

@@ -15,9 +15,8 @@ one flag:
 * :class:`ValueAwareEnergyModel` — prices DAC/driver energy by input
   magnitude, crossbar bitline energy by the resolved column swings, ADC
   energy by the Hamming weight of the resolved output codes, and
-  programming energy by the target conductance state.  ``statistical=True``
-  switches to a cheap moment-based approximation (CiMLoop's statistical
-  mode) so large sweeps stay fast.
+  programming energy by the target conductance state, each as an exact
+  per-element reduction.
 
 Model selection is context-local (:func:`use_model`) with a process-wide
 default (:func:`set_process_default`, seeded from the

@@ -13,9 +13,8 @@ Two pricing policies share one charging API:
   with the resolved column swings, ADC energy with the Hamming weight of
   the resolved SAR codes (capacitors left connected), programming energy
   with the target conductance state, and wire energy shrinks with
-  operand sparsity.  ``statistical=True`` replaces per-element sums with
-  first-moment estimates — one ``mean`` per event instead of per-element
-  work — the cheap mode sweeps run under.
+  operand sparsity.  Every component is an exact per-element reduction
+  (a handful of numpy sums per event), cheap enough for sweeps.
 
 Both models charge through :meth:`EnergyModel.charge`, which routes
 every :class:`~repro.core.metrics.OperationCost` into the caller's
@@ -92,7 +91,6 @@ class EnergyModelSpec:
     """
 
     kind: str = "static"
-    statistical: bool = False
     dac_static_fraction: float = 0.3
     driver_static_fraction: float = 0.3
     adc_static_fraction: float = 0.4
@@ -122,9 +120,7 @@ class EnergyModelSpec:
     @property
     def name(self) -> str:
         """Canonical short name (what CLI flags and configs accept)."""
-        if self.kind == "static":
-            return "static"
-        return "value_aware_statistical" if self.statistical else "value_aware"
+        return self.kind
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-able form, suitable for config fingerprints."""
@@ -134,10 +130,9 @@ class EnergyModelSpec:
     def parse(spec: "SpecLike") -> "EnergyModelSpec":
         """Coerce a name, dict or spec into an :class:`EnergyModelSpec`.
 
-        Accepted names: ``"static"``, ``"value_aware"``,
-        ``"value_aware_statistical"``.  Dicts may carry either a
-        ``kind``/``statistical`` pair or a ``name`` plus parameter
-        overrides.
+        Accepted names: ``"static"`` and ``"value_aware"``.  Dicts carry
+        a ``name`` or ``kind`` plus parameter overrides; an unknown name
+        or field raises.
         """
         if isinstance(spec, EnergyModelSpec):
             return spec
@@ -146,20 +141,13 @@ class EnergyModelSpec:
                 return EnergyModelSpec()
             if spec == "value_aware":
                 return EnergyModelSpec(kind="value_aware")
-            if spec == "value_aware_statistical":
-                return EnergyModelSpec(kind="value_aware", statistical=True)
             raise ValueError(
-                f"unknown energy model {spec!r}; expected 'static', "
-                f"'value_aware' or 'value_aware_statistical'"
+                f"unknown energy model {spec!r}; expected 'static' or "
+                f"'value_aware'"
             )
         if isinstance(spec, dict):
             fields = dict(spec)
             base = EnergyModelSpec.parse(fields.pop("name", "static"))
-            if "kind" in fields or "statistical" in fields:
-                base = EnergyModelSpec(
-                    kind=fields.pop("kind", base.kind),
-                    statistical=bool(fields.pop("statistical", base.statistical)),
-                )
             return replace(base, **fields)
         raise TypeError(
             f"spec must be a name, dict or EnergyModelSpec, got "
@@ -448,12 +436,9 @@ def _popcount(codes: np.ndarray) -> np.ndarray:
 class ValueAwareEnergyModel(EnergyModel):
     """CiMLoop-style pricing: energy follows the data.
 
-    ``statistical=False`` (exact mode) sums per-element contributions —
-    every wordline update, every resolved code.  ``statistical=True``
-    replaces each per-element sum with a first-moment estimate (one
-    ``mean`` per event): cheaper, approximate, and documented as such.
-    Both modes are pure functions of the charged values, so sweeps stay
-    bit-identical at any worker count.
+    Each component sums per-element contributions — every wordline
+    update, every resolved code.  Pricing is a pure function of the
+    charged values, so sweeps stay bit-identical at any worker count.
     """
 
     needs_values = True
@@ -467,11 +452,6 @@ class ValueAwareEnergyModel(EnergyModel):
             )
         self.spec = spec
 
-    # --------------------------------------------------------------- helpers
-    @property
-    def _stat(self) -> bool:
-        return self.spec.statistical
-
     # ---------------------------------------------------------------- energy
     def _programming_energy(self, n_cells, iterations, targets, g_min, g_max):
         base = WRITE_ENERGY_PER_CELL * n_cells * iterations
@@ -480,12 +460,8 @@ class ValueAwareEnergyModel(EnergyModel):
         gamma = self.spec.programming_static_fraction
         targets = np.asarray(targets, dtype=float)
         span = g_max - g_min
-        if self._stat:
-            state = (float(np.mean(targets)) - g_min) / span
-            dyn = n_cells * min(max(state, 0.0), 1.0)
-        else:
-            state = np.clip((targets - g_min) / span, 0.0, 1.0)
-            dyn = float(np.sum(state))
+        state = np.clip((targets - g_min) / span, 0.0, 1.0)
+        dyn = float(np.sum(state))
         return WRITE_ENERGY_PER_CELL * iterations * (
             gamma * n_cells + (1.0 - gamma) * dyn
         )
@@ -496,27 +472,18 @@ class ValueAwareEnergyModel(EnergyModel):
             return base
         alpha = self.spec.dac_static_fraction
         voltages = np.asarray(voltages, dtype=float)
-        n = voltages.size
-        if self._stat:
-            swing = float(np.mean(voltages)) / v_ref
-            dyn = n * swing * swing
-        else:
-            norm = voltages / v_ref
-            dyn = float(np.sum(norm * norm))
-        return dac.energy_per_conversion * (alpha * n + (1.0 - alpha) * dyn)
+        norm = voltages / v_ref
+        dyn = float(np.sum(norm * norm))
+        return dac.energy_per_conversion * (
+            alpha * voltages.size + (1.0 - alpha) * dyn
+        )
 
     def _array_energy(self, settle_power, settle_time, column_volts, v_fs):
         energy = settle_power * settle_time
         if column_volts is None or not v_fs:
             return energy
-        column_volts = np.asarray(column_volts, dtype=float)
-        n = column_volts.size
-        if self._stat:
-            swing = float(np.mean(column_volts)) / v_fs
-            dyn = n * swing * swing
-        else:
-            norm = column_volts / v_fs
-            dyn = float(np.sum(norm * norm))
+        norm = np.asarray(column_volts, dtype=float) / v_fs
+        dyn = float(np.sum(norm * norm))
         return energy + self.spec.bitline_energy_per_swing * dyn
 
     def _adc_energy(self, adc, n_cols, batch, codes):
@@ -525,31 +492,18 @@ class ValueAwareEnergyModel(EnergyModel):
             return base
         beta = self.spec.adc_static_fraction
         codes = np.asarray(codes)
-        n = codes.size
-        bits = adc.config.bits
-        if self._stat:
-            # First-moment estimate: treat code bits as independent with
-            # the mean code's duty cycle.  Approximate by construction —
-            # E[popcount(c)] != bits * E[c]/c_max in general.
-            duty = float(np.mean(codes)) / max(adc.levels - 1, 1)
-            dyn = n * duty
-        else:
-            dyn = float(np.sum(_popcount(codes))) / bits
-        return adc.energy_per_conversion * (beta * n + (1.0 - beta) * dyn)
+        dyn = float(np.sum(_popcount(codes))) / adc.config.bits
+        return adc.energy_per_conversion * (
+            beta * codes.size + (1.0 - beta) * dyn
+        )
 
     def _driver_energy(self, config, activations, voltages, v_ref):
         base = activations * config.energy_per_activation
         if voltages is None or not v_ref or activations <= 0:
             return base
         alpha = self.spec.driver_static_fraction
-        voltages = np.asarray(voltages, dtype=float)
-        if self._stat:
-            # Mean over *active* lines: total drive / activation count.
-            swing = float(np.sum(voltages)) / activations / v_ref
-            dyn = activations * swing * swing
-        else:
-            norm = voltages / v_ref
-            dyn = float(np.sum(norm * norm))
+        norm = np.asarray(voltages, dtype=float) / v_ref
+        dyn = float(np.sum(norm * norm))
         return config.energy_per_activation * (
             alpha * activations + (1.0 - alpha) * dyn
         )

@@ -208,7 +208,7 @@ class CrossbarArray:
         Unlike :meth:`program`/:meth:`write_cell` this does **not** apply
         the array's write-variation model: callers own the landed values
         (in-situ training draws its write noise from a dedicated stream so
-        its fast and scalar backends stay bit-identical).  Values are
+        its fast path and test-only reference stay bit-identical).  Values are
         clipped to the physical range; stuck cells keep their pinned
         overlay but still count the pulse against endurance.
         """

@@ -26,24 +26,32 @@ conductance range that this model provides.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from repro.utils.validation import check_in_range, check_positive
 
-#: Backends accepted by the pulse/sweep kernels. ``"auto"`` picks the fast
-#: python-float recurrence whenever it is provably bit-equal to the scalar
-#: reference (default Biolek window), else falls back to ``"scalar"``.
-KERNEL_BACKENDS = ("auto", "fast", "scalar")
+
+def _pulse_steps(duration: float, dt: float) -> int:
+    """Explicit-Euler step count of a ``duration``-second pulse."""
+    check_positive("duration", duration)
+    check_positive("dt", dt)
+    return max(1, int(round(duration / dt)))
 
 
-def _check_backend(backend: str) -> str:
-    if backend not in KERNEL_BACKENDS:
-        raise ValueError(
-            f"backend must be one of {KERNEL_BACKENDS}, got {backend!r}"
-        )
-    return backend
+def _sine_drive(
+    amplitude: float, frequency: float, cycles: int, points_per_cycle: int
+) -> Tuple[np.ndarray, np.ndarray, float]:
+    """Sample times, drive voltages and step of ``A sin(2 pi f t)``."""
+    check_positive("amplitude", amplitude)
+    check_positive("frequency", frequency)
+    if cycles < 1:
+        raise ValueError(f"cycles must be >= 1, got {cycles}")
+    n = cycles * points_per_cycle
+    t = np.arange(n) / (frequency * points_per_cycle)
+    dt = 1.0 / (frequency * points_per_cycle)
+    return t, amplitude * np.sin(2 * np.pi * frequency * t), dt
 
 
 def biolek_window(x: np.ndarray, current: np.ndarray, p: int = 2) -> np.ndarray:
@@ -119,7 +127,7 @@ class LinearIonDriftMemristor:
         self._x = check_in_range("x0", x0, 0.0, 1.0)
         # With the default Biolek window the ODE recurrence has a closed
         # scalar form the fast kernels can inline bit-exactly; a custom
-        # window forces the scalar reference path.
+        # window steps through :meth:`step`.
         self._fast_exponent: Optional[int] = None
         if window is None:
             exponent = self.params.window_exponent
@@ -163,33 +171,20 @@ class LinearIonDriftMemristor:
         return i
 
     def apply_voltage(
-        self,
-        voltage: float,
-        duration: float,
-        dt: float = 1e-6,
-        backend: str = "auto",
+        self, voltage: float, duration: float, dt: float = 1e-6
     ) -> None:
         """Apply a constant-voltage pulse for ``duration`` seconds.
 
-        ``backend="fast"`` runs the explicit-Euler recurrence as a tight
-        python-float loop (no per-step numpy scalar boxing) and exits
-        early once the state stops moving — bit-equal to the ``"scalar"``
-        reference, which steps through :meth:`step`.  ``"auto"`` (default)
-        uses the fast kernel whenever the device has the default Biolek
-        window; a custom window always takes the scalar path.
+        With the default Biolek window the explicit-Euler recurrence runs
+        as a tight python-float loop (no per-step numpy scalar boxing)
+        that exits early once the state stops moving — bit-equal to
+        :meth:`_apply_voltage_stepped`.  A custom window steps through
+        :meth:`step`.
         """
-        _check_backend(backend)
-        check_positive("duration", duration)
-        check_positive("dt", dt)
-        steps = max(1, int(round(duration / dt)))
-        if backend == "fast" and self._fast_exponent is None:
-            raise ValueError(
-                "backend='fast' requires the default Biolek window"
-            )
-        if backend == "scalar" or self._fast_exponent is None:
-            for _ in range(steps):
-                self.step(voltage, dt)
+        if self._fast_exponent is None:
+            self._apply_voltage_stepped(voltage, duration, dt)
             return
+        steps = _pulse_steps(duration, dt)
         p = self.params
         r_on, r_off, k, p2 = p.r_on, p.r_off, p.k, self._fast_exponent
         v = float(voltage)
@@ -204,10 +199,17 @@ class LinearIonDriftMemristor:
                 x_new = 1.0
             if x_new == x:
                 # Fixed point: every further step recomputes this exact
-                # state, so the scalar reference lands here too.
+                # state, so the stepped reference lands here too.
                 break
             x = x_new
         self._x = x
+
+    def _apply_voltage_stepped(
+        self, voltage: float, duration: float, dt: float = 1e-6
+    ) -> None:
+        """Reference pulse: every step through :meth:`step`."""
+        for _ in range(_pulse_steps(duration, dt)):
+            self.step(voltage, dt)
 
     def sweep(
         self,
@@ -215,7 +217,6 @@ class LinearIonDriftMemristor:
         frequency: float,
         cycles: int = 1,
         points_per_cycle: int = 2000,
-        backend: str = "auto",
     ) -> "IVSweepResult":
         """Drive the device with ``v(t) = A sin(2 pi f t)`` and record I-V.
 
@@ -223,30 +224,18 @@ class LinearIonDriftMemristor:
         fingerprint of memristive behaviour (both branches pass through the
         origin).
 
-        ``backend`` selects the stepping kernel exactly as in
-        :meth:`apply_voltage` (no early exit here — the drive varies), and
-        the recorded trace is bit-identical either way.
+        Kernel selection follows :meth:`apply_voltage` (no early exit
+        here — the drive varies); the trace is bit-identical to
+        :meth:`_sweep_stepped`.
         """
-        _check_backend(backend)
-        check_positive("amplitude", amplitude)
-        check_positive("frequency", frequency)
-        if cycles < 1:
-            raise ValueError(f"cycles must be >= 1, got {cycles}")
-        if backend == "fast" and self._fast_exponent is None:
-            raise ValueError(
-                "backend='fast' requires the default Biolek window"
+        if self._fast_exponent is None:
+            return self._sweep_stepped(
+                amplitude, frequency, cycles, points_per_cycle
             )
-        n = cycles * points_per_cycle
-        t = np.arange(n) / (frequency * points_per_cycle)
-        dt = 1.0 / (frequency * points_per_cycle)
-        v = amplitude * np.sin(2 * np.pi * frequency * t)
+        t, v, dt = _sine_drive(amplitude, frequency, cycles, points_per_cycle)
+        n = t.size
         i = np.empty(n)
         x = np.empty(n)
-        if backend == "scalar" or self._fast_exponent is None:
-            for idx in range(n):
-                x[idx] = self._x
-                i[idx] = self.step(float(v[idx]), dt)
-            return IVSweepResult(time=t, voltage=v, current=i, state=x)
         p = self.params
         r_on, r_off, k, p2 = p.r_on, p.r_off, p.k, self._fast_exponent
         xs = self._x
@@ -264,6 +253,22 @@ class LinearIonDriftMemristor:
                 x_new = 1.0
             xs = x_new
         self._x = xs
+        return IVSweepResult(time=t, voltage=v, current=i, state=x)
+
+    def _sweep_stepped(
+        self,
+        amplitude: float,
+        frequency: float,
+        cycles: int = 1,
+        points_per_cycle: int = 2000,
+    ) -> "IVSweepResult":
+        """Reference sweep: every sample through :meth:`step`."""
+        t, v, dt = _sine_drive(amplitude, frequency, cycles, points_per_cycle)
+        i = np.empty(t.size)
+        x = np.empty(t.size)
+        for idx in range(t.size):
+            x[idx] = self._x
+            i[idx] = self.step(float(v[idx]), dt)
         return IVSweepResult(time=t, voltage=v, current=i, state=x)
 
 
@@ -360,29 +365,17 @@ class VTEAMMemristor:
         return self.current(voltage)
 
     def apply_voltage(
-        self,
-        voltage: float,
-        duration: float,
-        dt: float = 1e-6,
-        backend: str = "auto",
+        self, voltage: float, duration: float, dt: float = 1e-6
     ) -> None:
         """Constant-voltage pulse of ``duration`` seconds.
 
-        ``backend="fast"`` (the ``"auto"`` choice) hoists the constant
-        over-threshold drive out of the loop, runs the window/clip
-        recurrence on python floats and stops at the first fixed point —
-        bit-equal to the ``"scalar"`` reference stepping through
-        :meth:`step`.  Sub-threshold pulses return immediately (the state
-        provably never moves — VTEAM's defining feature).
+        The constant over-threshold drive is hoisted out of the loop, the
+        window/clip recurrence runs on python floats and stops at the
+        first fixed point — bit-equal to :meth:`_apply_voltage_stepped`.
+        Sub-threshold pulses return immediately (the state provably never
+        moves — VTEAM's defining feature).
         """
-        _check_backend(backend)
-        check_positive("duration", duration)
-        check_positive("dt", dt)
-        steps = max(1, int(round(duration / dt)))
-        if backend == "scalar":
-            for _ in range(steps):
-                self.step(voltage, dt)
-            return
+        steps = _pulse_steps(duration, dt)
         p = self.params
         if p.v_on < voltage < p.v_off:
             return  # zero drive at every step; state untouched
@@ -403,6 +396,13 @@ class VTEAMMemristor:
                 break
             x = x_new
         self._x = x
+
+    def _apply_voltage_stepped(
+        self, voltage: float, duration: float, dt: float = 1e-6
+    ) -> None:
+        """Reference pulse: every step through :meth:`step`."""
+        for _ in range(_pulse_steps(duration, dt)):
+            self.step(voltage, dt)
 
     def is_read_safe(self, read_voltage: float) -> bool:
         """Whether ``read_voltage`` lies strictly inside the threshold

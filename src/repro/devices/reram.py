@@ -249,9 +249,7 @@ class ReRAMCell:
         )
         return self._conductance
 
-    def program_with_verify(
-        self, level: int, max_iterations: int = 10, backend: str = "auto"
-    ) -> int:
+    def program_with_verify(self, level: int, max_iterations: int = 10) -> int:
         """Program-and-verify loop: reprogram until the read-back lands in
         the level's noise margin or ``max_iterations`` is hit.
 
@@ -259,30 +257,15 @@ class ReRAMCell:
         closed-loop tuning scheme that trades write energy/latency for
         precision.
 
-        ``backend="fast"`` (the ``"auto"`` choice) hoists the level
-        target, clip bounds and noise margin out of the iteration and
-        inlines the per-pulse program step, drawing from ``self._rng``
-        one variation at a time exactly as :meth:`program` does — so the
-        pulse count, landed conductance, write counter, wear-out behaviour
-        *and the generator state afterwards* are all bit-identical to the
-        ``"scalar"`` reference loop.
+        The level target, clip bounds and noise margin are hoisted out of
+        the iteration and the per-pulse program step is inlined, drawing
+        from ``self._rng`` one variation at a time exactly as
+        :meth:`program` does — so the pulse count, landed conductance,
+        write counter, wear-out behaviour *and the generator state
+        afterwards* are all bit-identical to
+        :meth:`_program_with_verify_stepped`.
         """
-        if backend not in ("auto", "fast", "scalar"):
-            raise ValueError(
-                f"backend must be one of ('auto', 'fast', 'scalar'), "
-                f"got {backend!r}"
-            )
         check_positive("max_iterations", max_iterations)
-        if backend == "scalar":
-            pulses = 0
-            for _ in range(max_iterations):
-                self.program(level)
-                pulses += 1
-                if self.stuck:
-                    break
-                if self.params.levels.in_noise_margin(self._conductance, level):
-                    break
-            return pulses
         if not self._formed:
             raise CellError("cell must be formed before programming")
         levels = self.params.levels
@@ -308,6 +291,22 @@ class ReRAMCell:
             )
             self._conductance = g
             if abs(g - target) <= margin:
+                break
+        return pulses
+
+    def _program_with_verify_stepped(
+        self, level: int, max_iterations: int = 10
+    ) -> int:
+        """Reference write-verify loop: one :meth:`program` call per
+        pulse."""
+        check_positive("max_iterations", max_iterations)
+        pulses = 0
+        for _ in range(max_iterations):
+            self.program(level)
+            pulses += 1
+            if self.stuck:
+                break
+            if self.params.levels.in_noise_margin(self._conductance, level):
                 break
         return pulses
 

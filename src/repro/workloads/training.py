@@ -23,11 +23,11 @@ the live model.  This module closes that loop on the existing stack:
   .relax` (drift), so the accuracy-vs-epochs curve degrades the way
   Section III says it must.
 
-Both write-noise backends (``"scalar"`` pulse-by-pulse reference and the
-``"fast"`` vectorized path) draw from one dedicated write-noise stream in
-the same order, so trajectories are bit-identical **including the final
-generator state** — the property :func:`explore_training` and the
-benchmark gate pin.
+Write noise comes from one dedicated stream, drawn as one array fill
+per verify round; the private one-draw-per-cell reference
+(:func:`_write_noise_scalar`) consumes it in the same order, so
+trajectories are bit-identical **including the final generator state**
+— the property the trainer tests and the benchmark gate pin.
 """
 
 from __future__ import annotations
@@ -60,43 +60,62 @@ __all__ = [
     "explore_training",
 ]
 
-_BACKENDS = ("auto", "fast", "scalar")
 
-
-def outer_product_delta(
-    x: np.ndarray, delta: np.ndarray, backend: str = "auto"
-) -> np.ndarray:
-    """Mini-batch gradient as a sum of rank-1 outer products.
-
-    Returns ``sum_b outer(x[b], delta[b])`` — the quantity an analog
-    outer-product programming step applies in one shot.  ``"scalar"`` is
-    the pulse-order reference (explicit ``i, j`` loops); ``"fast"``
-    (the ``"auto"`` choice) accumulates :func:`numpy.outer` per sample in
-    the same summation order, so the two are **bit-equal**, not merely
-    close.
-    """
-    if backend not in _BACKENDS:
-        raise ValueError(
-            f"backend must be one of {_BACKENDS}, got {backend!r}"
-        )
+def _batch_pair(x: np.ndarray, delta: np.ndarray):
+    """Validated float ``(x, delta)`` batches of equal length."""
     x = np.asarray(x, dtype=float)
     delta = np.asarray(delta, dtype=float)
     if x.ndim != 2 or delta.ndim != 2 or x.shape[0] != delta.shape[0]:
         raise ValueError(
             f"need matching batches: x {x.shape}, delta {delta.shape}"
         )
+    return x, delta
+
+
+def outer_product_delta(x: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Mini-batch gradient as a sum of rank-1 outer products.
+
+    Returns ``sum_b outer(x[b], delta[b])`` — the quantity an analog
+    outer-product programming step applies in one shot.  Accumulates
+    :func:`numpy.outer` per sample in the summation order of the
+    pulse-order reference :func:`_outer_product_delta_scalar`, so the two
+    are **bit-equal**, not merely close.
+    """
+    x, delta = _batch_pair(x, delta)
+    grad = np.zeros((x.shape[1], delta.shape[1]))
+    for b in range(x.shape[0]):
+        grad += np.outer(x[b], delta[b])
+    return grad
+
+
+def _outer_product_delta_scalar(
+    x: np.ndarray, delta: np.ndarray
+) -> np.ndarray:
+    """Reference gradient: explicit ``b, i, j`` loops."""
+    x, delta = _batch_pair(x, delta)
     batch, n_in = x.shape
     n_out = delta.shape[1]
     grad = np.zeros((n_in, n_out))
-    if backend == "scalar":
-        for b in range(batch):
-            for i in range(n_in):
-                for j in range(n_out):
-                    grad[i, j] += x[b, i] * delta[b, j]
-        return grad
     for b in range(batch):
-        grad += np.outer(x[b], delta[b])
+        for i in range(n_in):
+            for j in range(n_out):
+                grad[i, j] += x[b, i] * delta[b, j]
     return grad
+
+
+def _write_noise(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` standard-normal write-noise draws as one array fill.  A
+    module-level function so tests can patch the reference in."""
+    return rng.standard_normal(n)
+
+
+def _write_noise_scalar(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Reference draw: one generator call per needy cell, same values
+    and same final generator state as :func:`_write_noise`."""
+    z = np.empty(n)
+    for k in range(n):
+        z[k] = rng.standard_normal()
+    return z
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -157,8 +176,7 @@ class InSituDense:
     the other, each snapped to the conductance ladder.  The arrays carry
     the *drift* model (state decays physically between epochs) but their
     own write model is ideal — write noise is drawn here, from
-    ``write_rng``, so the scalar and fast verify backends consume one
-    stream in one order.
+    ``write_rng``, one stream in one order.
     """
 
     def __init__(
@@ -241,18 +259,15 @@ class InSituDense:
         return np.argmax(self.forward(x, noisy=noisy), axis=1)
 
     def _write_verify(
-        self, array: CrossbarArray, targets: np.ndarray, backend: str
+        self, array: CrossbarArray, targets: np.ndarray
     ) -> np.ndarray:
         """Round-major write-verify: pulse every out-of-margin cell, read
         back, repeat.  Per-pulse math is line-for-line
         :meth:`ReRAMCell.program_with_verify`'s program step: land on
         ``target * exp(sigma * z)``, clip to the physical range, accept
         once within the level's noise margin.  Returns the per-cell pulse
-        counts (the endurance debit).
-
-        Backends differ only in how ``z`` is drawn from ``write_rng``:
-        ``"scalar"`` one call per needy cell in row-major order,
-        ``"fast"`` one array fill — same values, same final state.
+        counts (the endurance debit).  ``z`` is drawn from ``write_rng``
+        for the needy cells in row-major order.
         """
         sigma = self.params.write_sigma
         margin = self.levels.noise_margin
@@ -268,12 +283,7 @@ class InSituDense:
             if sigma == 0.0:
                 landed = targets
             else:
-                if backend == "scalar":
-                    z = np.empty(n)
-                    for k in range(n):
-                        z[k] = self.write_rng.standard_normal()
-                else:
-                    z = self.write_rng.standard_normal(n)
+                z = _write_noise(self.write_rng, n)
                 factor = np.ones(array.shape)
                 factor[needy] = np.exp(sigma * z)
                 landed = targets * factor
@@ -282,24 +292,19 @@ class InSituDense:
         return writes
 
     def apply_update(
-        self, grad: np.ndarray, bias_grad: np.ndarray, backend: str = "auto"
+        self, grad: np.ndarray, bias_grad: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """One training step: descend the shadow weights, reprogram the
         pair with write-verify.  Returns the per-cell pulse counts
         ``(writes_plus, writes_minus)`` for endurance accounting."""
-        if backend not in _BACKENDS:
-            raise ValueError(
-                f"backend must be one of {_BACKENDS}, got {backend!r}"
-            )
-        backend = "fast" if backend == "auto" else backend
         lr = self.params.learning_rate
         self.w = np.clip(
             self.w - lr * grad, -self.params.w_max, self.params.w_max
         )
         self.bias = self.bias - lr * bias_grad
         gp, gn = self.targets()
-        writes_p = self._write_verify(self.pos, gp, backend)
-        writes_n = self._write_verify(self.neg, gn, backend)
+        writes_p = self._write_verify(self.pos, gp)
+        writes_n = self._write_verify(self.neg, gn)
         return writes_p, writes_n
 
     def relax(self, elapsed: float) -> None:
@@ -318,22 +323,16 @@ class InSituTrainer:
 
     RNG discipline: the seed fans out into four independent streams
     (data, weight init, write noise, endurance lifetimes+faults), so a
-    given seed reproduces the full trajectory regardless of backend.
+    given seed reproduces the full trajectory.
     """
 
     def __init__(
         self,
         params: Optional[TrainingParams] = None,
         *,
-        backend: str = "auto",
         rng: RNGLike = 0,
     ) -> None:
         self.params = params or TrainingParams()
-        if backend not in _BACKENDS:
-            raise ValueError(
-                f"backend must be one of {_BACKENDS}, got {backend!r}"
-            )
-        self.backend = backend
         data_rng, init_rng, write_rng, wear_rng = spawn_rngs(rng, 4)
         p = self.params
         x, y = gaussian_blobs(
@@ -388,9 +387,9 @@ class InSituTrainer:
                 )
             )
             delta = (probs - onehot[yb]) / xb.shape[0]
-            grad = outer_product_delta(xb, delta, backend=self.backend)
+            grad = outer_product_delta(xb, delta)
             writes_p, writes_n = self.layer.apply_update(
-                grad, delta.sum(axis=0), backend=self.backend
+                grad, delta.sum(axis=0)
             )
             # Endurance consumes the pulses (and charges their energy);
             # cells that cross their Weibull lifetime die *now*, so the
@@ -427,12 +426,11 @@ class InSituTrainer:
 def train_insitu(
     params: Optional[TrainingParams] = None,
     *,
-    backend: str = "auto",
     rng: RNGLike = 0,
 ) -> Dict[str, object]:
     """Run one in-situ training job; returns the summary row the sweep
     and the CLI/serve layers share (per-epoch history plus finals)."""
-    trainer = InSituTrainer(params, backend=backend, rng=rng)
+    trainer = InSituTrainer(params, rng=rng)
     history = trainer.run()
     last = history[-1]
     return {
@@ -454,7 +452,6 @@ def _training_point(
     n_features: int,
     n_classes: int,
     write_sigma: float,
-    backend: str,
 ) -> Dict[str, object]:
     """One grid job: one (characteristic_life, drift_nu) training run."""
     life, nu = point
@@ -466,7 +463,7 @@ def _training_point(
         characteristic_life=life,
         drift_nu=nu,
     )
-    result = train_insitu(params, backend=backend, rng=rng)
+    result = train_insitu(params, rng=rng)
     row: Dict[str, object] = {
         "trial": int(trial),
         "characteristic_life": float(life),
@@ -491,7 +488,6 @@ def explore_training(
     n_features: int = 16,
     n_classes: int = 4,
     write_sigma: float = 0.05,
-    backend: str = "auto",
     trials: int = 1,
     seed: RNGLike = 0,
     workers: Optional[int] = None,
@@ -513,7 +509,6 @@ def explore_training(
             int(n_features),
             int(n_classes),
             float(write_sigma),
-            str(backend),
         ),
     )
     return [row for per_point in nested for row in per_point]

@@ -110,6 +110,11 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["submit", "bogus"])
 
+    def test_statistical_energy_model_exits_2(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--energy-model", "value_aware_statistical"])
+        assert exc.value.code == 2
+
     def test_yield_model_choice(self):
         args = build_parser().parse_args(["yield", "--model", "cnn"])
         assert args.model == "cnn"

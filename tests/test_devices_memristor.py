@@ -141,8 +141,9 @@ class TestHysteresis:
 
 
 class TestFastKernels:
-    """The vectorized-loop pulse/sweep backends must be bit-equal to the
-    scalar reference path (``backend="scalar"``, stepping via .step())."""
+    """The fast pulse/sweep kernels must be bit-equal to the private
+    stepped references (``_apply_voltage_stepped`` / ``_sweep_stepped``,
+    stepping via .step())."""
 
     VOLTAGES = (1.2, -1.5, 0.3, -0.05, 2.5)
 
@@ -151,8 +152,8 @@ class TestFastKernels:
             for x0 in (0.0, 0.1, 0.5, 0.99, 1.0):
                 ref = LinearIonDriftMemristor(x0=x0)
                 fast = LinearIonDriftMemristor(x0=x0)
-                ref.apply_voltage(v, duration=2e-4, dt=1e-6, backend="scalar")
-                fast.apply_voltage(v, duration=2e-4, dt=1e-6, backend="fast")
+                ref._apply_voltage_stepped(v, duration=2e-4, dt=1e-6)
+                fast.apply_voltage(v, duration=2e-4, dt=1e-6)
                 assert fast.state == ref.state, (v, x0)
 
     def test_apply_voltage_saturating_pulse_bit_equal(self):
@@ -160,24 +161,22 @@ class TestFastKernels:
         kernel's early exit must land on the identical float."""
         ref = LinearIonDriftMemristor(x0=0.2)
         fast = LinearIonDriftMemristor(x0=0.2)
-        ref.apply_voltage(2.0, duration=0.05, dt=1e-6, backend="scalar")
-        fast.apply_voltage(2.0, duration=0.05, dt=1e-6, backend="fast")
+        ref._apply_voltage_stepped(2.0, duration=0.05, dt=1e-6)
+        fast.apply_voltage(2.0, duration=0.05, dt=1e-6)
         assert fast.state == ref.state
 
     def test_apply_voltage_auto_matches_scalar(self):
         ref = LinearIonDriftMemristor(x0=0.4)
         auto = LinearIonDriftMemristor(x0=0.4)
-        ref.apply_voltage(1.0, duration=1e-4, backend="scalar")
-        auto.apply_voltage(1.0, duration=1e-4)  # default backend="auto"
+        ref._apply_voltage_stepped(1.0, duration=1e-4)
+        auto.apply_voltage(1.0, duration=1e-4)  # default dt
         assert auto.state == ref.state
 
     def test_sweep_trace_bit_equal(self):
         ref = LinearIonDriftMemristor(x0=0.3)
         fast = LinearIonDriftMemristor(x0=0.3)
-        a = ref.sweep(1.5, 50.0, cycles=2, points_per_cycle=400,
-                      backend="scalar")
-        b = fast.sweep(1.5, 50.0, cycles=2, points_per_cycle=400,
-                       backend="fast")
+        a = ref._sweep_stepped(1.5, 50.0, cycles=2, points_per_cycle=400)
+        b = fast.sweep(1.5, 50.0, cycles=2, points_per_cycle=400)
         assert np.array_equal(a.current, b.current)
         assert np.array_equal(a.state, b.state)
         assert fast.state == ref.state
@@ -187,28 +186,20 @@ class TestFastKernels:
             params = MemristorParams(window_exponent=exponent)
             ref = LinearIonDriftMemristor(params, x0=0.3)
             fast = LinearIonDriftMemristor(params, x0=0.3)
-            ref.apply_voltage(1.0, duration=1e-4, backend="scalar")
-            fast.apply_voltage(1.0, duration=1e-4, backend="fast")
+            ref._apply_voltage_stepped(1.0, duration=1e-4)
+            fast.apply_voltage(1.0, duration=1e-4)
             assert fast.state == ref.state
 
     def test_custom_window_auto_falls_back_to_scalar(self):
         ref = LinearIonDriftMemristor(window=rectangular_window, x0=0.3)
         auto = LinearIonDriftMemristor(window=rectangular_window, x0=0.3)
-        ref.apply_voltage(1.0, duration=1e-4, backend="scalar")
-        auto.apply_voltage(1.0, duration=1e-4, backend="auto")
+        ref._apply_voltage_stepped(1.0, duration=1e-4)
+        auto.apply_voltage(1.0, duration=1e-4)
         assert auto.state == ref.state
-
-    def test_custom_window_rejects_fast(self):
-        dev = LinearIonDriftMemristor(window=rectangular_window)
-        with pytest.raises(ValueError, match="Biolek"):
-            dev.apply_voltage(1.0, duration=1e-4, backend="fast")
-        with pytest.raises(ValueError, match="Biolek"):
-            dev.sweep(1.0, 50.0, backend="fast")
-
-    def test_unknown_backend_rejected(self):
-        dev = LinearIonDriftMemristor()
-        with pytest.raises(ValueError, match="backend"):
-            dev.apply_voltage(1.0, duration=1e-4, backend="numba")
+        a = ref._sweep_stepped(1.0, 50.0, points_per_cycle=200)
+        b = auto.sweep(1.0, 50.0, points_per_cycle=200)
+        assert np.array_equal(a.current, b.current)
+        assert auto.state == ref.state
 
     def test_fast_kernel_is_faster(self):
         import time
@@ -216,11 +207,9 @@ class TestFastKernels:
         ref = LinearIonDriftMemristor(x0=0.5)
         fast = LinearIonDriftMemristor(x0=0.5)
         t0 = time.perf_counter()
-        ref.sweep(1.0, 50.0, cycles=1, points_per_cycle=3000,
-                  backend="scalar")
+        ref._sweep_stepped(1.0, 50.0, cycles=1, points_per_cycle=3000)
         t_ref = time.perf_counter() - t0
         t0 = time.perf_counter()
-        fast.sweep(1.0, 50.0, cycles=1, points_per_cycle=3000,
-                   backend="fast")
+        fast.sweep(1.0, 50.0, cycles=1, points_per_cycle=3000)
         t_fast = time.perf_counter() - t0
         assert t_fast < t_ref  # tier-1 smoke; the real gate is in benchmarks

@@ -187,8 +187,8 @@ class TestParamsValidation:
 
 
 class TestWriteVerifyBackends:
-    """program_with_verify's fast backend must be bit-equal to the scalar
-    reference — pulse count, landed conductance, write counter, wear-out,
+    """program_with_verify must be bit-equal to the private stepped
+    reference (``_program_with_verify_stepped``) — pulse count, landed conductance, write counter, wear-out,
     and the generator state afterwards."""
 
     @staticmethod
@@ -210,10 +210,8 @@ class TestWriteVerifyBackends:
         for seed in range(12):
             ref = self._noisy_cell(seed)
             fast = self._noisy_cell(seed)
-            p_ref = ref.program_with_verify(1, max_iterations=20,
-                                            backend="scalar")
-            p_fast = fast.program_with_verify(1, max_iterations=20,
-                                              backend="fast")
+            p_ref = ref._program_with_verify_stepped(1, max_iterations=20)
+            p_fast = fast.program_with_verify(1, max_iterations=20)
             assert p_fast == p_ref
             assert fast.conductance == ref.conductance
             assert fast.write_count == ref.write_count
@@ -223,7 +221,7 @@ class TestWriteVerifyBackends:
     def test_auto_is_default_and_matches_scalar(self):
         ref = self._noisy_cell(5)
         auto = self._noisy_cell(5)
-        p_ref = ref.program_with_verify(0, max_iterations=8, backend="scalar")
+        p_ref = ref._program_with_verify_stepped(0, max_iterations=8)
         p_auto = auto.program_with_verify(0, max_iterations=8)
         assert p_auto == p_ref
         assert auto.conductance == ref.conductance
@@ -234,39 +232,41 @@ class TestWriteVerifyBackends:
             ref = self._noisy_cell(2, levels=levels)
             fast = self._noisy_cell(2, levels=levels)
             assert fast.program_with_verify(
-                level, max_iterations=16, backend="fast"
-            ) == ref.program_with_verify(
-                level, max_iterations=16, backend="scalar"
-            )
+                level, max_iterations=16
+            ) == ref._program_with_verify_stepped(level, max_iterations=16)
             assert fast.conductance == ref.conductance
 
+    #: Both write-verify paths, as unbound methods.
+    PATHS = (
+        ReRAMCell._program_with_verify_stepped,
+        ReRAMCell.program_with_verify,
+    )
+
     def test_wear_out_path_bit_equal(self):
-        for backend in ("scalar", "fast"):
+        outcomes = []
+        for path in self.PATHS:
             cell = self._noisy_cell(1, endurance=3)
-            pulses = cell.program_with_verify(
-                1, max_iterations=10, backend=backend
+            pulses = path(cell, 1, max_iterations=10)
+            outcomes.append(
+                (pulses, cell.stuck, cell.conductance, cell.write_count)
             )
-            if backend == "scalar":
-                ref = (pulses, cell.stuck, cell.conductance, cell.write_count)
-        assert (pulses, cell.stuck, cell.conductance, cell.write_count) == ref
+        assert outcomes[0] == outcomes[1]
 
     def test_stuck_cell_single_pulse(self):
-        for backend in ("scalar", "fast"):
+        for path in self.PATHS:
             cell = self._noisy_cell(0)
             cell.force_stuck(0)
-            assert cell.program_with_verify(1, backend=backend) == 1
+            assert path(cell, 1) == 1
             assert cell.stuck
 
     def test_unformed_cell_rejected(self):
         stack = VariabilityStack.ideal()
-        for backend in ("scalar", "fast"):
+        for path in self.PATHS:
             cell = ReRAMCell(variability=stack, rng=0)
             with pytest.raises(CellError, match="formed"):
-                cell.program_with_verify(1, backend=backend)
+                path(cell, 1)
 
-    def test_bad_level_and_backend_rejected(self):
-        cell = self._noisy_cell(0)
-        with pytest.raises(ValueError, match="level"):
-            cell.program_with_verify(99, backend="fast")
-        with pytest.raises(ValueError, match="backend"):
-            cell.program_with_verify(1, backend="turbo")
+    def test_bad_level_rejected(self):
+        for path in self.PATHS:
+            with pytest.raises(ValueError, match="level"):
+                path(self._noisy_cell(0), 99)

@@ -98,7 +98,7 @@ class TestParams:
 
 
 class TestFastPulseKernel:
-    """backend="fast" pulse stepping must be bit-equal to the scalar
+    """Fast pulse stepping must be bit-equal to the private stepped
     reference (and trivially exact for sub-threshold pulses)."""
 
     def test_set_reset_pulses_bit_equal(self):
@@ -108,8 +108,8 @@ class TestFastPulseKernel:
             for x0 in (0.0, 0.25, 0.5, 1.0):
                 ref = VTEAMMemristor(x0=x0)
                 fast = VTEAMMemristor(x0=x0)
-                ref.apply_voltage(v, duration=5e-4, dt=1e-6, backend="scalar")
-                fast.apply_voltage(v, duration=5e-4, dt=1e-6, backend="fast")
+                ref._apply_voltage_stepped(v, duration=5e-4, dt=1e-6)
+                fast.apply_voltage(v, duration=5e-4, dt=1e-6)
                 assert fast.state == ref.state, (v, x0)
 
     def test_subthreshold_pulse_is_a_noop_both_ways(self):
@@ -117,8 +117,8 @@ class TestFastPulseKernel:
 
         ref = VTEAMMemristor(x0=0.4)
         fast = VTEAMMemristor(x0=0.4)
-        ref.apply_voltage(0.3, duration=1e-3, backend="scalar")
-        fast.apply_voltage(0.3, duration=1e-3, backend="fast")
+        ref._apply_voltage_stepped(0.3, duration=1e-3)
+        fast.apply_voltage(0.3, duration=1e-3)
         assert ref.state == 0.4 and fast.state == 0.4
 
     def test_long_saturating_pulse_bit_equal(self):
@@ -126,12 +126,6 @@ class TestFastPulseKernel:
 
         ref = VTEAMMemristor(x0=0.1)
         fast = VTEAMMemristor(x0=0.1)
-        ref.apply_voltage(1.4, duration=0.02, dt=1e-6, backend="scalar")
-        fast.apply_voltage(1.4, duration=0.02, dt=1e-6, backend="fast")
+        ref._apply_voltage_stepped(1.4, duration=0.02, dt=1e-6)
+        fast.apply_voltage(1.4, duration=0.02, dt=1e-6)
         assert fast.state == ref.state
-
-    def test_unknown_backend_rejected(self):
-        from repro.devices.memristor import VTEAMMemristor
-
-        with pytest.raises(ValueError, match="backend"):
-            VTEAMMemristor().apply_voltage(1.0, 1e-4, backend="gpu")

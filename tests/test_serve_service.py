@@ -461,14 +461,23 @@ class TestEnergyModelCacheKeys:
         assert static["cache"] == "miss"
         assert aware["cache"] == "miss"
 
-    def test_bad_energy_model_rejected(self):
+    @pytest.mark.parametrize(
+        "energy_model",
+        (
+            "quantum",
+            "value_aware_statistical",
+            {"name": "value_aware", "statistical": True},
+        ),
+        ids=("quantum", "value_aware_statistical", "statistical_field"),
+    )
+    def test_bad_energy_model_rejected(self, energy_model):
         async def main():
             svc = make_service()
             with pytest.raises(BadRequestError, match="energy_model"):
                 await svc.submit(
                     {
                         "kind": "dse",
-                        "params": dict(self.DSE, energy_model="quantum"),
+                        "params": dict(self.DSE, energy_model=energy_model),
                     }
                 )
 

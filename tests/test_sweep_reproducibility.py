@@ -197,11 +197,8 @@ class TestValueAwareSweeps:
     )
 
     @pytest.mark.parametrize("workers", WORKER_LADDER)
-    @pytest.mark.parametrize(
-        "model", ("value_aware", "value_aware_statistical")
-    )
-    def test_explore_serial_vs_parallel_bit_identical(self, workers, model):
-        with use_model(model):
+    def test_explore_serial_vs_parallel_bit_identical(self, workers):
+        with use_model("value_aware"):
             serial = explore_pipeline(workers=0, **self._KW)
             parallel = explore_pipeline(workers=workers, **self._KW)
         assert serial == parallel

@@ -10,6 +10,7 @@ from repro.devices.variability import (
     VariabilityStack,
     WriteVariationModel,
 )
+from repro.workloads import training
 from repro.workloads.training import (
     InSituDense,
     InSituTrainer,
@@ -26,8 +27,8 @@ class TestOuterProductDelta:
         x = rng.uniform(0, 1, (16, 12))
         d = rng.normal(size=(16, 5))
         assert np.array_equal(
-            outer_product_delta(x, d, "fast"),
-            outer_product_delta(x, d, "scalar"),
+            outer_product_delta(x, d),
+            training._outer_product_delta_scalar(x, d),
         )
 
     def test_matches_matrix_product(self):
@@ -36,13 +37,10 @@ class TestOuterProductDelta:
         d = rng.normal(size=(8, 3))
         assert np.allclose(outer_product_delta(x, d), x.T @ d)
 
-    def test_bad_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            outer_product_delta(np.zeros((2, 2)), np.zeros((2, 2)), "gpu")
-
     def test_mismatched_batch_rejected(self):
-        with pytest.raises(ValueError, match="batch"):
-            outer_product_delta(np.zeros((2, 2)), np.zeros((3, 2)))
+        for fn in (outer_product_delta, training._outer_product_delta_scalar):
+            with pytest.raises(ValueError, match="batch"):
+                fn(np.zeros((2, 2)), np.zeros((3, 2)))
 
 
 class TestInSituDense:
@@ -78,7 +76,7 @@ class TestInSituDense:
         before = layer.pos.write_counts()
         # Reprogramming to the *current* targets must be a no-op.
         gp, _ = layer.targets()
-        writes = layer._write_verify(layer.pos, gp, "fast")
+        writes = layer._write_verify(layer.pos, gp)
         assert writes.sum() == 0
         assert np.array_equal(layer.pos.write_counts(), before)
 
@@ -87,7 +85,7 @@ class TestInSituDense:
         layer = InSituDense(params, rng=0, write_rng=1)
         layer.pos.stick_cell(0, 0, layer.levels.g_max)
         target = np.full(layer.pos.shape, layer.levels.g_min)
-        writes = layer._write_verify(layer.pos, target, "fast")
+        writes = layer._write_verify(layer.pos, target)
         assert writes[0, 0] == 0
         assert writes[1:].sum() > 0 or writes[0, 1] > 0
 
@@ -126,7 +124,7 @@ class TestWriteVerifyOracle:
 
         pulses = cell.program_with_verify(target_level, max_iterations=10)
         target = np.full((1, 1), levels.target(target_level))
-        writes = layer._write_verify(layer.pos, target, "fast")
+        writes = layer._write_verify(layer.pos, target)
 
         assert int(writes[0, 0]) == pulses
         assert layer.pos.conductances()[0, 0] == pytest.approx(
@@ -135,11 +133,19 @@ class TestWriteVerifyOracle:
 
 
 class TestTrainerDeterminism:
-    def test_fast_scalar_bit_identical_including_rng_state(self):
+    def test_fast_scalar_bit_identical_including_rng_state(self, monkeypatch):
         p = TrainingParams(epochs=2)
-        fast = InSituTrainer(p, backend="fast", rng=7)
-        scalar = InSituTrainer(p, backend="scalar", rng=7)
-        assert fast.run() == scalar.run()
+        fast = InSituTrainer(p, rng=7)
+        fast_rows = fast.run()
+        monkeypatch.setattr(
+            training, "outer_product_delta",
+            training._outer_product_delta_scalar,
+        )
+        monkeypatch.setattr(
+            training, "_write_noise", training._write_noise_scalar
+        )
+        scalar = InSituTrainer(p, rng=7)
+        assert fast_rows == scalar.run()
         assert (
             fast.layer.write_rng.bit_generator.state
             == scalar.layer.write_rng.bit_generator.state
@@ -156,10 +162,6 @@ class TestTrainerDeterminism:
         assert (
             InSituTrainer(p, rng=3).run() == InSituTrainer(p, rng=3).run()
         )
-
-    def test_bad_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            InSituTrainer(TrainingParams(), backend="tpu")
 
 
 class TestEnduranceAndAging:
