@@ -5,11 +5,13 @@ attention block must actually pipeline (pipelined makespan beats the
 sequential schedule by ``>= ATTENTION_SPEEDUP_GATE`` while staying
 bit-identical), and the vectorized outer-product gradient must beat the
 scalar reference loop (``>= OUTER_PRODUCT_SPEEDUP_GATE``) with the same
-bits.  Writes the numbers to ``BENCH_workloads.json`` (via
-:func:`conftest.record_workloads_metrics`) so the workload-throughput
-trajectory is tracked across PRs.
+bits.  Also records, without a gate, the best-of-N host time of one
+served ``train`` job at its default grid.  Writes the numbers to
+``BENCH_workloads.json`` (via :func:`conftest.record_workloads_metrics`)
+so the workload-throughput trajectory is tracked across PRs.
 """
 
+import os
 import time
 
 import numpy as np
@@ -23,6 +25,9 @@ ATTENTION_SPEEDUP_GATE = 1.5
 #: The outer-product update is the training inner loop; the vectorized
 #: path must clearly beat the per-element scalar reference.
 OUTER_PRODUCT_SPEEDUP_GATE = 3.0
+
+#: Repetitions of the served ``train`` job; the record keeps the fastest.
+TRAIN_JOB_REPEATS = 7
 
 
 def _timed(fn, *args, **kwargs):
@@ -177,5 +182,39 @@ def test_insitu_training_backends_bit_identical(run_once):
             "dead_cells": fast["dead_cells"],
             "total_pulses": fast["total_pulses"],
             "write_energy_j": fast["write_energy_j"],
+        },
+    )
+
+
+def test_train_job_host_time(run_once):
+    """Host milliseconds of one served ``train`` job at its default grid
+    (in-process, serial: the service's default ``workers``).  A record
+    only: best of ``TRAIN_JOB_REPEATS`` runs, with the core count."""
+    from repro.serve.service import TRAIN_DEFAULTS
+    from repro.workloads.training import explore_training
+
+    cfg = {k: v for k, v in TRAIN_DEFAULTS.items() if k != "energy_model"}
+
+    def experiment():
+        times = []
+        for _ in range(TRAIN_JOB_REPEATS):
+            rows, seconds = _timed(explore_training, workers=0, **cfg)
+            times.append(seconds)
+        return rows, min(times)
+
+    rows, best = run_once(experiment)
+    assert len(rows) == len(cfg["lives"]) * len(cfg["drift_nus"])
+    print(
+        f"served train job ({len(rows)} grid points, {cfg['epochs']} "
+        f"epochs): best of {TRAIN_JOB_REPEATS} {best * 1e3:.1f} ms host"
+    )
+    record_workloads_metrics(
+        "train_job",
+        {
+            "grid_points": len(rows),
+            "epochs": cfg["epochs"],
+            "repeats": TRAIN_JOB_REPEATS,
+            "best_ms": best * 1e3,
+            "cpu_count": os.cpu_count() or 1,
         },
     )

@@ -2,10 +2,12 @@
 """End-to-end smoke test for the serving layer, run by CI.
 
 Starts a real ``cimflow serve`` process on an ephemeral port, submits an
-inference request and a yield sweep over the socket, then re-submits the
-identical sweep and asserts the second response is a results-cache hit
-that is bit-identical to the cold one — the serving layer's core
-contract, exercised through the same process boundary users cross.
+inference request, a yield sweep and a small in-situ ``train`` job over
+the socket, then re-submits each job and asserts the second response is
+a results-cache hit that is bit-identical to the cold one — the serving
+layer's core contract, exercised through the same process boundary users
+cross.  The ``train`` job covers the device write path (write-verify,
+endurance wear, programming energy).
 
 Exits non-zero (with a message on stderr) on any violation.
 """
@@ -31,6 +33,8 @@ MODEL = {
     "wire_resistance": 1.0,
 }
 SWEEP = {"yields": [1.0, 0.8], "trials": 1, "epochs": 4, "n_samples": 120}
+# One grid point, one epoch: the whole write path in well under a second.
+TRAIN = {"lives": [8.0], "drift_nus": [0.01], "epochs": 1}
 
 READY_RE = re.compile(r"listening on ([\d.]+):(\d+)")
 
@@ -38,6 +42,35 @@ READY_RE = re.compile(r"listening on ([\d.]+):(\d+)")
 def fail(message):
     print(f"serve_smoke: FAIL: {message}", file=sys.stderr)
     sys.exit(1)
+
+
+def cold_then_warm(client, kind, params):
+    """Submit ``kind`` twice: the first response must be a results-cache
+    miss, the second a hit that is byte-identical to it.  Returns the
+    cold response."""
+    cold = client.request(kind, params)
+    if not cold.get("ok"):
+        fail(f"cold {kind} failed: {cold.get('error')}")
+    if cold["cache"] != "miss":
+        fail(f"cold {kind} should be a cache miss, got {cold['cache']}")
+
+    warm = client.request(kind, params)
+    if not warm.get("ok"):
+        fail(f"warm {kind} failed: {warm.get('error')}")
+    if warm["cache"] != "hit":
+        fail(
+            f"identical re-submitted {kind} must be a results-cache hit, "
+            f"got {warm['cache']}"
+        )
+    # Bit-identical means byte-identical canonical JSON: result AND the
+    # conservation-validated report.
+    for field in ("result", "report"):
+        if json.dumps(cold[field], sort_keys=True) != json.dumps(
+            warm[field], sort_keys=True
+        ):
+            fail(f"warm {kind} {field} differs from cold response")
+    print(f"serve_smoke: warm {kind} is a bit-identical cache hit")
+    return cold
 
 
 def main():
@@ -69,33 +102,14 @@ def main():
                 f"{infer['result']['prediction']}"
             )
 
-            cold = client.request("sweep", SWEEP)
-            if not cold.get("ok"):
-                fail(f"cold sweep failed: {cold.get('error')}")
-            if cold["cache"] != "miss":
-                fail(f"cold sweep should be a cache miss, got {cold['cache']}")
-            print(f"serve_smoke: cold sweep ok ({len(cold['result'])} rows)")
-
-            warm = client.request("sweep", SWEEP)
-            if not warm.get("ok"):
-                fail(f"warm sweep failed: {warm.get('error')}")
-            if warm["cache"] != "hit":
-                fail(
-                    "identical re-submitted sweep must be a results-cache "
-                    f"hit, got {warm['cache']}"
-                )
-            # Bit-identical means byte-identical canonical JSON: result
-            # AND the conservation-validated report.
-            for field in ("result", "report"):
-                if json.dumps(cold[field], sort_keys=True) != json.dumps(
-                    warm[field], sort_keys=True
-                ):
-                    fail(f"warm sweep {field} differs from cold response")
-            print("serve_smoke: warm sweep is a bit-identical cache hit")
+            cold = cold_then_warm(client, "sweep", SWEEP)
+            print(f"serve_smoke: sweep ok ({len(cold['result'])} rows)")
+            cold = cold_then_warm(client, "train", TRAIN)
+            print(f"serve_smoke: train ok ({len(cold['result']['rows'])} rows)")
 
             stats = client.request("stats")
             cache = stats["result"]["results_cache"]
-            if cache["request_hits"] < 1:
+            if cache["request_hits"] < 2:
                 fail(f"stats report no results-cache hits: {cache}")
             print(f"serve_smoke: PASS (results cache: {cache})")
     finally:

@@ -208,9 +208,11 @@ class CrossbarArray:
         Unlike :meth:`program`/:meth:`write_cell` this does **not** apply
         the array's write-variation model: callers own the landed values
         (in-situ training draws its write noise from a dedicated stream so
-        its fast path and test-only reference stay bit-identical).  Values are
-        clipped to the physical range; stuck cells keep their pinned
-        overlay but still count the pulse against endurance.
+        its fast path and test-only reference stay bit-identical).  Only
+        the masked targets are checked for sign, so values outside the
+        mask are ignored.  The written healthy cells are clipped to the
+        physical range and updated in place; stuck cells keep their
+        pinned overlay but still count the pulse against endurance.
         """
         mask = np.asarray(mask, dtype=bool)
         targets = np.asarray(targets, dtype=float)
@@ -219,17 +221,16 @@ class CrossbarArray:
                 f"mask/targets shape {mask.shape}/{targets.shape} does "
                 f"not match array {self.shape}"
             )
-        n = int(mask.sum())
+        n = int(np.count_nonzero(mask))
         if n == 0:
             return
-        if np.any(targets[mask] < 0):
+        if targets[mask].min() < 0:
             raise ValueError("conductance targets must be non-negative")
         lo = self.config.levels.g_min * 0.5
         hi = self.config.levels.g_max * 1.5
-        landed = np.clip(targets, lo, hi)
         write_here = mask & ~self._stuck_mask
-        self._g = np.where(write_here, landed, self._g)
-        self._write_counts += mask.astype(np.int64)
+        self._g[write_here] = np.clip(targets[write_here], lo, hi)
+        self._write_counts += mask
         self._write_ops += 1
         telemetry.current().incr("crossbar.write_ops")
         telemetry.current().incr("crossbar.cells_written", n)

@@ -119,7 +119,7 @@ class EnduranceSimulator:
                 f"writes shape {writes.shape} does not match array "
                 f"{self.array.shape}"
             )
-        if np.any(writes < 0):
+        if writes.min() < 0:
             raise ValueError("per-cell writes must be >= 0")
         total = float(writes.sum())
         if total == 0:
@@ -143,6 +143,8 @@ class EnduranceSimulator:
         self._writes += writes
         now_dead = (self._writes >= self._lifetimes) & before
         now_dead &= ~self.array._stuck_mask
+        if not now_dead.any():
+            return []
         new_faults: List[Fault] = []
         for r, c in zip(*np.nonzero(now_dead)):
             fault = Fault(FaultType.ENDURANCE_WEAROUT, int(r), int(c))

@@ -10,7 +10,8 @@ the live model.  This module closes that loop on the existing stack:
   :class:`~repro.devices.reram.ConductanceLevels` ladder;
 * gradients are rank-1 **outer products** ``x δᵀ`` accumulated over the
   mini-batch (the analog-friendly update rule — no transposed read
-  needed), with a vectorized fast path bit-equal to the scalar reference;
+  needed) as one batch-axis reduction that adds the samples in order onto
+  a ``+0.0`` start, bit-equal to the scalar reference;
 * updates land through a **write-verify** loop whose per-pulse math is
   exactly :meth:`repro.devices.reram.ReRAMCell.program_with_verify`
   (lognormal landing, physical clip, noise-margin acceptance), pulsing
@@ -76,16 +77,17 @@ def outer_product_delta(x: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """Mini-batch gradient as a sum of rank-1 outer products.
 
     Returns ``sum_b outer(x[b], delta[b])`` — the quantity an analog
-    outer-product programming step applies in one shot.  Accumulates
-    :func:`numpy.outer` per sample in the summation order of the
-    pulse-order reference :func:`_outer_product_delta_scalar`, so the two
-    are **bit-equal**, not merely close.
+    outer-product programming step applies in one shot.  One broadcast
+    product reduced over the batch axis: the reduction adds the samples
+    in order ``b = 0, 1, ...`` onto a ``+0.0`` start, the summation order
+    of the pulse-order reference :func:`_outer_product_delta_scalar`, so
+    the two are **bit-equal** (signed zeros included), not merely close.
+    An empty batch gives zeros.
     """
     x, delta = _batch_pair(x, delta)
-    grad = np.zeros((x.shape[1], delta.shape[1]))
-    for b in range(x.shape[0]):
-        grad += np.outer(x[b], delta[b])
-    return grad
+    return np.add.reduce(
+        x[:, :, None] * delta[:, None, :], axis=0, initial=0.0
+    )
 
 
 def _outer_product_delta_scalar(
@@ -239,11 +241,11 @@ class InSituDense:
         weights: ``(G_plus, G_minus)``."""
         lv = self.levels
         span = lv.g_max - lv.g_min
-        wp = np.clip(self.w, 0.0, self.params.w_max)
-        wn = np.clip(-self.w, 0.0, self.params.w_max)
-        gp = lv.g_min + wp / self.params.w_max * span
-        gn = lv.g_min + wn / self.params.w_max * span
-        return self._quantize(gp), self._quantize(gn)
+        # Both polarities in one stacked pass: row 0 is the positive part,
+        # row 1 the magnitude of the negative part.
+        w = np.clip(np.stack((self.w, -self.w)), 0.0, self.params.w_max)
+        gp, gn = self._quantize(lv.g_min + w / self.params.w_max * span)
+        return gp, gn
 
     def forward(self, x: np.ndarray, noisy: bool = False) -> np.ndarray:
         """Analog logits: differential column currents rescaled to weight
@@ -271,22 +273,20 @@ class InSituDense:
         """
         sigma = self.params.write_sigma
         margin = self.levels.noise_margin
-        stuck = array.stuck_mask
+        # No round kills a cell, so the healthy mask holds for the call.
+        healthy = ~array._stuck_mask
         writes = np.zeros(array.shape, dtype=float)
         for _ in range(self.params.max_write_iterations):
-            needy = (
-                np.abs(array.healthy_conductances() - targets) > margin
-            ) & ~stuck
-            n = int(needy.sum())
+            needy = (np.abs(array._g - targets) > margin) & healthy
+            n = np.count_nonzero(needy)
             if n == 0:
                 break
             if sigma == 0.0:
                 landed = targets
             else:
                 z = _write_noise(self.write_rng, n)
-                factor = np.ones(array.shape)
-                factor[needy] = np.exp(sigma * z)
-                landed = targets * factor
+                landed = targets.copy()
+                landed[needy] *= np.exp(sigma * z)
             array.write_cells(needy, landed)
             writes += needy
         return writes

@@ -271,6 +271,27 @@ class TestWriteCells:
         with pytest.raises(ValueError, match="non-negative"):
             xbar.write_cells(mask, np.full((4, 4), -1e-5))
 
+    def test_sign_checked_only_inside_mask(self):
+        xbar = self._xbar()
+        mask = np.zeros((4, 4), dtype=bool)
+        mask[1, 1] = mask[2, 3] = True
+        targets = np.full((4, 4), 6e-5)
+        targets[2, 3] = -1e-5
+        with pytest.raises(ValueError, match="non-negative"):
+            xbar.write_cells(mask, targets)
+        # A rejected write changes nothing, not even the masked cell
+        # whose target was valid.
+        assert np.all(xbar.conductances() == 5e-5)
+        assert np.all(xbar.write_counts() == 1)
+        # Outside the mask a negative target is never addressed.
+        targets[2, 3] = 6e-5
+        targets[0, 0] = -1e-5
+        xbar.write_cells(mask, targets)
+        g = xbar.conductances()
+        assert g[1, 1] == g[2, 3] == 6e-5
+        assert g[0, 0] == 5e-5
+        assert np.array_equal(xbar.write_counts(), 1 + mask)
+
     def test_targets_clipped_to_physical_range(self):
         xbar = self._xbar()
         levels = xbar.config.levels

@@ -127,6 +127,18 @@ class TestWear:
         with pytest.raises(ValueError, match=">= 0"):
             sim.wear(writes)
 
+    def test_negative_writes_rejected_when_sum_is_zero(self):
+        # A negative entry must be caught even when the writes cancel to
+        # a zero total (the no-op early return comes after the check).
+        sim = self._sim()
+        writes = np.zeros((8, 8))
+        writes[0, :2] = [1.0, -1.0]
+        assert writes.sum() == 0
+        with pytest.raises(ValueError, match=">= 0"):
+            sim.wear(writes)
+        assert sim.costs.total.energy == 0
+        assert np.all(sim.write_cycles == 0)
+
     def test_zero_writes_is_a_noop(self):
         sim = self._sim()
         energy_before = sim.costs.total.energy

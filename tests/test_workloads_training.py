@@ -10,6 +10,7 @@ from repro.devices.variability import (
     VariabilityStack,
     WriteVariationModel,
 )
+from repro.utils import telemetry
 from repro.workloads import training
 from repro.workloads.training import (
     InSituDense,
@@ -30,6 +31,36 @@ class TestOuterProductDelta:
             outer_product_delta(x, d),
             training._outer_product_delta_scalar(x, d),
         )
+
+    @staticmethod
+    def _assert_same_bits(x, d):
+        fast = outer_product_delta(x, d)
+        ref = training._outer_product_delta_scalar(x, d)
+        assert fast.shape == ref.shape == (x.shape[1], d.shape[1])
+        assert np.array_equal(fast, ref)
+        assert np.array_equal(np.signbit(fast), np.signbit(ref))
+        return fast
+
+    def test_signed_zeros_match_scalar(self):
+        # 0.0 * negative is -0.0; both paths start the sum from +0.0, so
+        # an all-zero input column must give +0.0, never -0.0.
+        rng = np.random.default_rng(3)
+        x = rng.uniform(0, 1, (6, 5))
+        x[:, 1] = 0.0
+        x[2, :] = 0.0
+        d = -rng.uniform(0.1, 1, (6, 3))
+        grad = self._assert_same_bits(x, d)
+        assert not np.signbit(grad[1]).any()
+
+    def test_batch_of_one_matches_scalar(self):
+        x = np.array([[0.0, 0.5, 2.0]])
+        d = np.array([[-1.5, 0.25]])
+        grad = self._assert_same_bits(x, d)
+        assert not np.signbit(grad[0]).any()
+
+    def test_empty_batch_gives_zeros(self):
+        grad = self._assert_same_bits(np.zeros((0, 4)), np.zeros((0, 3)))
+        assert np.array_equal(grad, np.zeros((4, 3)))
 
     def test_matches_matrix_product(self):
         rng = np.random.default_rng(1)
@@ -136,7 +167,8 @@ class TestTrainerDeterminism:
     def test_fast_scalar_bit_identical_including_rng_state(self, monkeypatch):
         p = TrainingParams(epochs=2)
         fast = InSituTrainer(p, rng=7)
-        fast_rows = fast.run()
+        with telemetry.scoped() as fast_scope:
+            fast_rows = fast.run()
         monkeypatch.setattr(
             training, "outer_product_delta",
             training._outer_product_delta_scalar,
@@ -145,7 +177,18 @@ class TestTrainerDeterminism:
             training, "_write_noise", training._write_noise_scalar
         )
         scalar = InSituTrainer(p, rng=7)
-        assert fast_rows == scalar.run()
+        with telemetry.scoped() as scalar_scope:
+            scalar_rows = scalar.run()
+        assert fast_rows == scalar_rows
+        # Same pulses, cells and programming charges: write_ops,
+        # cells_written and cost.*.programming all agree.
+        assert fast_scope.counters["crossbar.write_ops"] > 0
+        assert fast_scope.counters == scalar_scope.counters
+        for fast_sim, scalar_sim in zip(fast.endurance, scalar.endurance):
+            assert np.array_equal(
+                fast_sim.write_cycles, scalar_sim.write_cycles
+            )
+            assert fast_sim.costs.as_dict() == scalar_sim.costs.as_dict()
         assert (
             fast.layer.write_rng.bit_generator.state
             == scalar.layer.write_rng.bit_generator.state
