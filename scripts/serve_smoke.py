@@ -7,7 +7,9 @@ the socket, then re-submits each job and asserts the second response is
 a results-cache hit that is bit-identical to the cold one — the serving
 layer's core contract, exercised through the same process boundary users
 cross.  The ``train`` job covers the device write path (write-verify,
-endurance wear, programming energy).
+endurance wear, programming energy).  Its cold run fans out over two
+sweep workers and its warm run asks for none, so the hit also proves the
+parallel path returns the full, non-empty report a serial run would.
 
 Exits non-zero (with a message on stderr) on any violation.
 """
@@ -44,11 +46,12 @@ def fail(message):
     sys.exit(1)
 
 
-def cold_then_warm(client, kind, params):
-    """Submit ``kind`` twice: the first response must be a results-cache
-    miss, the second a hit that is byte-identical to it.  Returns the
-    cold response."""
-    cold = client.request(kind, params)
+def cold_then_warm(client, kind, params, **cold_only):
+    """Submit ``kind`` twice: the first response (with ``cold_only``
+    params added, which must not change the answer) must be a
+    results-cache miss, the second a hit that is byte-identical to it.
+    Returns the cold response."""
+    cold = client.request(kind, {**params, **cold_only})
     if not cold.get("ok"):
         fail(f"cold {kind} failed: {cold.get('error')}")
     if cold["cache"] != "miss":
@@ -104,7 +107,9 @@ def main():
 
             cold = cold_then_warm(client, "sweep", SWEEP)
             print(f"serve_smoke: sweep ok ({len(cold['result'])} rows)")
-            cold = cold_then_warm(client, "train", TRAIN)
+            cold = cold_then_warm(client, "train", TRAIN, workers=2)
+            if not cold["report"]["totals"]["energy"] > 0:
+                fail(f"parallel train report is empty: {cold['report']}")
             print(f"serve_smoke: train ok ({len(cold['result']['rows'])} rows)")
 
             stats = client.request("stats")

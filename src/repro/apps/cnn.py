@@ -26,7 +26,6 @@ import numpy as np
 from repro.core.accelerator import AcceleratorParams, CIMAccelerator
 from repro.utils.parallel import run_grid, seed_sequence_from
 from repro.utils.rng import RNGLike, ensure_rng, spawn_rngs
-from repro.utils.telemetry import RunReport
 from repro.utils.validation import check_positive
 
 
@@ -310,7 +309,6 @@ def cnn_accuracy_vs_yield(
     epochs: int = 25,
     rng: RNGLike = 0,
     workers=None,
-    with_report: bool = False,
 ):
     """Accuracy-vs-yield for the crossbar CNN — the convolutional twin of
     :func:`repro.apps.nn.accuracy_vs_yield`.
@@ -318,9 +316,8 @@ def cnn_accuracy_vs_yield(
     Trains :class:`SimpleCNN` once (serial), then fans the
     ``trials x len(yields)`` deployment grid out over the sweep engine;
     every image batch runs through the tiles via the batched patch path.
-    Rows are bit-identical for a given ``rng`` at any worker count.  With
-    ``with_report=True`` returns ``(rows, report)``, the report reduced
-    over grid jobs in flat job order.
+    Rows are bit-identical for a given ``rng`` at any worker count, and
+    so is the telemetry the sweep adds to the caller's scope.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -339,27 +336,14 @@ def cnn_accuracy_vs_yield(
     )
     clean_acc = clean.accuracy(x_test, y_test, noisy=False)
 
-    grid_out = run_grid(
+    per_point = run_grid(
         _cnn_yield_trial,
         list(yields),
         trials=trials,
         seed=grid_seq,
         workers=workers,
         task_args=(cnn, x_train, x_test, y_test),
-        capture_telemetry=with_report,
     )
-    report = None
-    if with_report:
-        per_point, job_counters = grid_out
-        report = RunReport.reduce(
-            [
-                RunReport.from_counters(c, label="cnn_accuracy_vs_yield")
-                for c in job_counters
-            ],
-            label="cnn_accuracy_vs_yield",
-        )
-    else:
-        per_point = grid_out
     rows = []
     for cell_yield, trial_rows in zip(yields, per_point):
         acc = float(np.mean([t["accuracy"] for t in trial_rows]))
@@ -373,6 +357,4 @@ def cnn_accuracy_vs_yield(
                 "drop": clean_acc - acc,
             }
         )
-    if with_report:
-        return rows, report
     return rows

@@ -19,7 +19,6 @@ from repro.apps.datasets import gaussian_blobs
 from repro.core.accelerator import AcceleratorParams, CIMAccelerator
 from repro.utils.parallel import run_grid, seed_sequence_from
 from repro.utils.rng import RNGLike, ensure_rng, spawn_rngs
-from repro.utils.telemetry import RunReport
 from repro.utils.validation import check_positive
 
 
@@ -351,13 +350,12 @@ def accuracy_vs_yield(
     rng: RNGLike = 0,
     epochs: int = 60,
     workers: Optional[int] = None,
-    with_report: bool = False,
-):
+) -> List[Dict[str, float]]:
     """The [38] experiment: train once, deploy, sweep yield, measure
     accuracy.  Returns rows of ``{"yield", "fault_rate", "accuracy",
-    "clean_accuracy", "drop"}``; with ``with_report=True`` returns
-    ``(rows, report)`` where ``report`` is the telemetry
-    :class:`RunReport` reduced over all grid jobs in flat job order.
+    "clean_accuracy", "drop"}``.  Telemetry lands in the caller's scope
+    (grid jobs folded in flat job order): wrap the call in
+    :func:`repro.utils.telemetry.scoped` to capture its report.
 
     Defaults are calibrated so the clean network is near-perfect and the
     drop at 80% yield lands near the paper's quoted ~35% (the shape, not
@@ -394,7 +392,7 @@ def accuracy_vs_yield(
     )
     clean_acc = clean.accuracy(x_test, y_test, noisy=False)
 
-    grid_out = run_grid(
+    per_point = run_grid(
         _yield_trial,
         list(yields),
         trials=trials,
@@ -408,20 +406,7 @@ def accuracy_vs_yield(
             x_test,
             y_test,
         ),
-        capture_telemetry=with_report,
     )
-    report = None
-    if with_report:
-        per_point, job_counters = grid_out
-        report = RunReport.reduce(
-            [
-                RunReport.from_counters(c, label="accuracy_vs_yield")
-                for c in job_counters
-            ],
-            label="accuracy_vs_yield",
-        )
-    else:
-        per_point = grid_out
     rows: List[Dict[str, float]] = []
     for cell_yield, trial_rows in zip(yields, per_point):
         acc = float(np.mean([t["accuracy"] for t in trial_rows]))
@@ -435,6 +420,4 @@ def accuracy_vs_yield(
                 "drop": clean_acc - acc,
             }
         )
-    if with_report:
-        return rows, report
     return rows

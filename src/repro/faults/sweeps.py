@@ -20,17 +20,7 @@ from repro.faults.endurance import EnduranceModel, EnduranceSimulator
 from repro.faults.injection import FaultInjector
 from repro.utils.parallel import run_grid, run_trials
 from repro.utils.rng import RNGLike
-from repro.utils.telemetry import RunReport
 from repro.utils.validation import check_positive
-
-
-def _reduce_job_reports(reports, label: str) -> RunReport:
-    """Fold per-job counter snapshots into one report in flat job order,
-    so the result is bit-identical at any worker count."""
-    return RunReport.reduce(
-        [RunReport.from_counters(c, label=label) for c in reports],
-        label=label,
-    )
 
 
 def _yield_rate_trial(
@@ -54,36 +44,24 @@ def yield_fault_rate_sweep(
     trials: int = 16,
     rng: RNGLike = 0,
     workers: Optional[int] = None,
-    with_report: bool = False,
-):
+) -> List[Dict[str, float]]:
     """Monte Carlo of the yield -> realized-fault-rate mapping.
 
     For each yield figure, ``trials`` independent stuck-at populations are
     sampled on fresh arrays (in parallel when ``workers >= 1``) and the
     realized rate statistics are reported: rows of ``{"yield",
     "mean_rate", "std_rate", "min_rate", "max_rate"}``.
-
-    With ``with_report=True`` returns ``(rows, report)`` where ``report``
-    is the telemetry :class:`RunReport` reduced over all trials in flat
-    job order (bit-identical at any ``workers`` setting).
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    grid_out = run_grid(
+    per_point = run_grid(
         _yield_rate_trial,
         list(yields),
         trials=trials,
         seed=rng,
         workers=workers,
         task_args=(tuple(shape),),
-        capture_telemetry=with_report,
     )
-    report = None
-    if with_report:
-        per_point, job_counters = grid_out
-        report = _reduce_job_reports(job_counters, "yield_fault_rate_sweep")
-    else:
-        per_point = grid_out
     rows: List[Dict[str, float]] = []
     for cell_yield, rates in zip(yields, per_point):
         arr = np.asarray(rates, dtype=float)
@@ -96,8 +74,6 @@ def yield_fault_rate_sweep(
                 "max_rate": float(arr.max()),
             }
         )
-    if with_report:
-        return rows, report
     return rows
 
 
@@ -151,7 +127,6 @@ def endurance_capability_sweep(
     code: str = "secded",
     rng: RNGLike = 0,
     workers: Optional[int] = None,
-    with_report: bool = False,
 ) -> Dict[str, object]:
     """Monte Carlo of the "hard faults eventually exceed the ECC's
     correction capability" claim (Section III-C).
@@ -161,16 +136,13 @@ def endurance_capability_sweep(
     codeword pass the capability of ``code`` (any
     :func:`repro.testing.ecc.make_code` name; historically hardwired to
     SEC-DED).  Returns the per-trial rows plus summary statistics over
-    the trials that did exceed within the simulated horizon.  With
-    ``with_report=True`` the summary dict also carries a ``"report"``
-    key: the telemetry :class:`RunReport` reduced over trials in job
-    order.
+    the trials that did exceed within the simulated horizon.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     check_positive("total_writes", total_writes)
     check_positive("step", step)
-    out = run_trials(
+    per_trial = run_trials(
         _endurance_trial,
         trials,
         seed=rng,
@@ -184,14 +156,7 @@ def endurance_capability_sweep(
             data_bits,
             code,
         ),
-        capture_telemetry=with_report,
     )
-    report = None
-    if with_report:
-        per_trial, job_counters = out
-        report = _reduce_job_reports(job_counters, "endurance_capability_sweep")
-    else:
-        per_trial = out
     exceeded = [
         row["exceeded_at"]
         for row in per_trial
@@ -204,6 +169,4 @@ def endurance_capability_sweep(
         "min_exceeded_at": float(np.min(exceeded)) if exceeded else math.inf,
         "max_exceeded_at": float(np.max(exceeded)) if exceeded else math.inf,
     }
-    if with_report:
-        summary["report"] = report
     return summary

@@ -312,7 +312,7 @@ def _run_sweep(cfg, workers, artifacts):
     from repro.apps.nn import accuracy_vs_yield
 
     with telemetry.scoped() as scope:
-        rows, grid_report = accuracy_vs_yield(
+        rows = accuracy_vs_yield(
             yields=tuple(cfg["yields"]),
             n_samples=int(cfg["n_samples"]),
             n_features=int(cfg["n_features"]),
@@ -323,11 +323,8 @@ def _run_sweep(cfg, workers, artifacts):
             rng=int(cfg["seed"]),
             epochs=int(cfg["epochs"]),
             workers=workers,
-            with_report=True,
         )
-    # Training/clean-deployment costs land on the outer scope; per-job
-    # costs are only in the grid report.  Merge both.
-    return {"rows": rows}, _scope_report(scope).merge(grid_report)
+    return {"rows": rows}, _scope_report(scope)
 
 
 def _run_dse(cfg, workers, artifacts):
@@ -424,7 +421,7 @@ def _run_ecc(cfg, workers, artifacts):
     from repro.testing.ecc_advisor import advise_ecc, ecc_advisor_analysis
 
     with telemetry.scoped() as scope:
-        rows, grid_report = advise_ecc(
+        rows = advise_ecc(
             codes=[str(c) for c in cfg["codes"]],
             yields=[float(y) for y in cfg["yields"]],
             scenarios=[str(s) for s in cfg["scenarios"]] or None,
@@ -434,11 +431,9 @@ def _run_ecc(cfg, workers, artifacts):
             trials=int(cfg["trials"]),
             seed=int(cfg["seed"]),
             workers=workers,
-            with_report=True,
         )
     advice = ecc_advisor_analysis(rows)
-    report = _scope_report(scope).merge(grid_report)
-    return {"rows": rows, "advice": advice}, report
+    return {"rows": rows, "advice": advice}, _scope_report(scope)
 
 
 def _run_attention(cfg, workers, artifacts):

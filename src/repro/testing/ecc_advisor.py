@@ -30,7 +30,6 @@ from repro.costs.pareto import knee_point, parameter_sensitivity, pareto_front
 from repro.periphery.sense_amp import SenseAmpConfig
 from repro.utils.parallel import run_grid
 from repro.utils.rng import RNGLike
-from repro.utils.telemetry import RunReport
 
 from repro.testing.ecc import EccCode, _mc_block, make_code
 
@@ -227,8 +226,7 @@ def advise_ecc(
     trials: int = 2,
     seed: RNGLike = 0,
     workers: Optional[int] = None,
-    with_report: bool = False,
-):
+) -> List[Dict[str, object]]:
     """Sweep code x cell-yield x workload scenario and return one
     aggregated row per grid point.
 
@@ -237,8 +235,8 @@ def advise_ecc(
     endurance-limited scenarios); statistical fields are averaged over
     trials in flat job order, so rows are bit-identical at any
     ``workers`` count.  ``words_per_array`` scales the check-bit area of
-    one protected array.  With ``with_report=True`` returns ``(rows,
-    report)`` with the telemetry :class:`RunReport` reduced over jobs.
+    one protected array.  Telemetry lands in the caller's scope, folded
+    over jobs in flat job order.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -264,7 +262,7 @@ def advise_ecc(
         for cell_yield in yields
         for scenario in scenario_names
     ]
-    grid_out = run_grid(
+    per_point = run_grid(
         _advisor_trial,
         points,
         trials=trials,
@@ -276,20 +274,7 @@ def advise_ecc(
             int(words_per_array),
             dict(SCENARIOS),
         ),
-        capture_telemetry=with_report,
     )
-    report = None
-    if with_report:
-        per_point, job_counters = grid_out
-        report = RunReport.reduce(
-            [
-                RunReport.from_counters(c, label="ecc_advisor")
-                for c in job_counters
-            ],
-            label="ecc_advisor",
-        )
-    else:
-        per_point = grid_out
     rows: List[Dict[str, object]] = []
     for point_rows in per_point:
         row = dict(point_rows[0])
@@ -299,8 +284,6 @@ def advise_ecc(
             )
         row["trials"] = len(point_rows)
         rows.append(row)
-    if with_report:
-        return rows, report
     return rows
 
 

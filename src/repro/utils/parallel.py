@@ -25,6 +25,15 @@ position.
 identical seeding, so test suites stay single-process and the parallel
 path can be validated against the serial one bit-for-bit.
 
+**Telemetry.**  Every job runs in its own
+:func:`repro.utils.telemetry.scoped` scope, in pool workers and on the
+serial path alike.  The per-job counters (not timers: wall clocks are
+not deterministic) are folded in flat job order into one fresh dict,
+which is then added once, key by key, into the caller's
+:func:`repro.utils.telemetry.current` scope.  The caller's counters
+therefore never depend on the worker count; a caller that wants a
+sweep's report wraps the call in ``telemetry.scoped()``.
+
 Process backend (persistent workers, shared-memory arguments)
 -------------------------------------------------------------
 
@@ -260,7 +269,6 @@ def _worker_init(
     template: Any,
     pack_name: Optional[str],
     specs: Sequence[Tuple[int, Tuple[int, ...], str]],
-    capture: bool,
     energy_spec: Optional[Dict[str, Any]] = None,
 ) -> None:
     """Pool initializer: runs once per worker process.
@@ -287,12 +295,11 @@ def _worker_init(
         task=task,
         task_args=_resolve_shared(template, views),
         root=root,
-        capture=capture,
         shm=shm,  # keep the mapping alive for the worker's lifetime
     )
 
 
-def _worker_chunk(lo: int, hi: int) -> List[Any]:
+def _worker_chunk(lo: int, hi: int) -> List[Tuple[Any, Dict[str, float]]]:
     """Worker entry point: run jobs ``[lo, hi)`` from the installed state.
 
     The entire per-chunk payload is this ``(lo, hi)`` descriptor — seeds
@@ -300,10 +307,7 @@ def _worker_chunk(lo: int, hi: int) -> List[Any]:
     """
     state = _WORKER_STATE
     seeds = [child_seed(state["root"], i) for i in range(lo, hi)]
-    return _run_chunk(
-        state["task"], range(lo, hi), seeds, state["task_args"],
-        state["capture"],
-    )
+    return _run_chunk(state["task"], range(lo, hi), seeds, state["task_args"])
 
 
 def _run_chunk(
@@ -311,21 +315,15 @@ def _run_chunk(
     indices: Sequence[int],
     seeds: Sequence[np.random.SeedSequence],
     task_args: Tuple[Any, ...],
-    capture: bool = False,
-) -> List[Any]:
-    """Run a contiguous chunk of jobs in-process.
+) -> List[Tuple[Any, Dict[str, float]]]:
+    """Run a contiguous chunk of jobs in-process, each inside its own
+    telemetry scope; returns ``(result, counters)`` pairs.
 
-    With ``capture=True`` each job runs inside its own telemetry scope and
-    the chunk returns ``(result, counters)`` pairs.  Only counters are
-    snapshotted — wall-clock timers vary run to run, and per-job capture
-    must stay bit-identical between the serial and process backends.
+    Only counters are snapshotted — wall-clock timers vary run to run,
+    and per-job capture must stay bit-identical between the serial and
+    process backends.
     """
-    if not capture:
-        return [
-            task(i, np.random.default_rng(ss), *task_args)
-            for i, ss in zip(indices, seeds)
-        ]
-    out: List[Any] = []
+    out: List[Tuple[Any, Dict[str, float]]] = []
     for i, ss in zip(indices, seeds):
         with telemetry.scoped() as scope:
             result = task(i, np.random.default_rng(ss), *task_args)
@@ -350,17 +348,16 @@ def _run_pooled(
     workers: int,
     chunk: int,
     task_args: Tuple[Any, ...],
-    capture: bool,
-) -> List[Any]:
+) -> List[Tuple[Any, Dict[str, float]]]:
     """Fan ``n_jobs`` out over a persistent, shared-memory-initialized
-    worker pool; returns results in job order."""
+    worker pool; returns ``(result, counters)`` pairs in job order."""
     arrays: List[np.ndarray] = []
     template = _extract_shared(task_args, arrays)
     pack = SharedArrayPack(arrays) if arrays else None
     import repro.costs.models as energy_models  # deferred: avoids cycle
 
     energy_spec = energy_models.active_spec().to_dict()
-    results: List[Any] = []
+    results: List[Tuple[Any, Dict[str, float]]] = []
     try:
         with ProcessPoolExecutor(
             max_workers=workers,
@@ -371,7 +368,6 @@ def _run_pooled(
                 template,
                 pack.name if pack is not None else None,
                 pack.specs if pack is not None else (),
-                capture,
                 energy_spec,
             ),
         ) as pool:
@@ -403,13 +399,17 @@ def run_trials(
     workers: Optional[int] = None,
     chunk_size: Optional[int] = None,
     task_args: Tuple[Any, ...] = (),
-    capture_telemetry: bool = False,
-) -> Any:
+) -> List[Any]:
     """Run ``task(trial_index, rng, *task_args)`` for every trial.
 
     Results are returned in trial order and are bit-identical for a given
     ``seed`` at any ``workers``/``chunk_size`` setting (each trial's
     generator is derived from the root seed by index, never shared).
+
+    Every trial runs in its own telemetry scope.  The per-trial counters
+    are folded in trial order into one fresh dict, which is then added
+    once into :func:`repro.utils.telemetry.current` — so the caller's
+    scope receives the same counters, bit for bit, at every worker count.
 
     Parameters
     ----------
@@ -428,12 +428,6 @@ def run_trials(
     chunk_size:
         Jobs per submitted chunk (parallel backend only); affects
         scheduling granularity, never results.
-    capture_telemetry:
-        When ``True`` each trial runs in its own telemetry scope and the
-        return value becomes ``(results, reports)`` where ``reports`` is
-        the per-job counter dict in flat job order.  Counter capture is
-        deterministic, so the reports (and any reduction of them) are
-        bit-identical at every worker count.
     """
     if n_trials < 0:
         raise ValueError(f"n_trials must be >= 0, got {n_trials}")
@@ -441,18 +435,17 @@ def run_trials(
     root = seed_sequence_from(seed)
     if workers == 0 or n_trials == 0:
         seeds = [child_seed(root, i) for i in range(n_trials)]
-        results = _run_chunk(
-            task, range(n_trials), seeds, task_args, capture_telemetry
-        )
+        pairs = _run_chunk(task, range(n_trials), seeds, task_args)
     else:
         chunk = _chunk_bounds(n_trials, workers, chunk_size)
-        results = _run_pooled(
-            task, n_trials, root, workers, chunk, task_args,
-            capture_telemetry,
-        )
-    if not capture_telemetry:
-        return results
-    return [r for r, _ in results], [c for _, c in results]
+        pairs = _run_pooled(task, n_trials, root, workers, chunk, task_args)
+    folded: Dict[str, float] = {}
+    for _, counters in pairs:
+        telemetry._merge_numeric(folded, counters)
+    scope = telemetry.current()
+    for name in sorted(folded):
+        scope.incr(name, folded[name])
+    return [result for result, _ in pairs]
 
 
 def _grid_job(
@@ -477,19 +470,15 @@ def run_grid(
     workers: Optional[int] = None,
     chunk_size: Optional[int] = None,
     task_args: Tuple[Any, ...] = (),
-    capture_telemetry: bool = False,
-) -> Any:
+) -> List[List[Any]]:
     """Fan a trial grid out: ``task(point, trial, rng, *task_args)`` for
     every ``(point, trial)`` pair, point-major.
 
     Returns ``results[p][t]`` nested by point then trial, in order.  Job
     seeding is flat over the ``len(points) * trials`` grid, so adding
     workers — or re-slicing the same points into separate calls with the
-    same flat indices — never changes any trial's stream.
-
-    With ``capture_telemetry=True`` returns ``(results, reports)`` where
-    ``reports`` is the per-job counter dict in flat (point-major) job
-    order — see :func:`run_trials`.
+    same flat indices — never changes any trial's stream.  Telemetry is
+    folded in flat (point-major) job order — see :func:`run_trials`.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -501,16 +490,8 @@ def run_grid(
         workers=workers,
         chunk_size=chunk_size,
         task_args=(task, points, trials, task_args),
-        capture_telemetry=capture_telemetry,
     )
-    if capture_telemetry:
-        flat, reports = flat
-    nested = [
-        flat[p * trials : (p + 1) * trials] for p in range(len(points))
-    ]
-    if capture_telemetry:
-        return nested, reports
-    return nested
+    return [flat[p * trials : (p + 1) * trials] for p in range(len(points))]
 
 
 def _block_job(
@@ -535,8 +516,7 @@ def run_blocks(
     workers: Optional[int] = None,
     chunk_size: Optional[int] = None,
     task_args: Tuple[Any, ...] = (),
-    capture_telemetry: bool = False,
-) -> Any:
+) -> np.ndarray:
     """Vectorized-backend variant: trials are partitioned into fixed
     blocks and ``task(block_count, rng, *task_args)`` evaluates a whole
     block at once (returning one result per trial in the block, e.g. a
@@ -545,10 +525,8 @@ def run_blocks(
     The unit of determinism is the *block*: one derived stream per block,
     so results depend on ``seed`` and ``block_size`` but never on the
     worker count.  Callers should treat ``block_size`` as part of the
-    experiment configuration, not a tuning knob.
-
-    With ``capture_telemetry=True`` returns ``(results, reports)`` where
-    ``reports`` holds one counter dict per *block* in block order.
+    experiment configuration, not a tuning knob.  Telemetry is folded
+    per *block* in block order — see :func:`run_trials`.
     """
     if n_trials < 0:
         raise ValueError(f"n_trials must be >= 0, got {n_trials}")
@@ -562,15 +540,7 @@ def run_blocks(
         workers=workers,
         chunk_size=chunk_size,
         task_args=(task, n_trials, block_size, task_args),
-        capture_telemetry=capture_telemetry,
     )
-    reports: List[Any] = []
-    if capture_telemetry:
-        per_block, reports = per_block
     if not per_block:
-        out = np.asarray([])
-    else:
-        out = np.concatenate([np.asarray(b) for b in per_block])
-    if capture_telemetry:
-        return out, reports
-    return out
+        return np.asarray([])
+    return np.concatenate([np.asarray(b) for b in per_block])

@@ -9,8 +9,11 @@ total.  This module is the one place that observability lives:
 * :class:`Telemetry` — named counters and wall-clock timers.  The clock is
   injectable so tests and sweeps stay deterministic; a process-wide
   *current* instance is always available via :func:`current`, and
-  :func:`scoped` pushes a fresh instance for the duration of a job so the
-  parallel sweep engine can capture per-job activity in isolation.
+  :func:`scoped` pushes a fresh instance for the duration of a block.
+  The parallel sweep engine runs every job in its own scope and folds
+  the per-job counters, in flat job order, into the caller's scope, so a
+  caller captures a whole sweep — bit-identically at any worker count —
+  by wrapping it in :func:`scoped`.
 * Cost mirroring — :meth:`repro.core.metrics.CostAccumulator.add` mirrors
   every charge into the current telemetry under ``cost.energy.<category>``
   (and latency / data-movement twins), so any scoped job automatically
@@ -19,15 +22,17 @@ total.  This module is the one place that observability lives:
   side counters (crossbar read/write ops, driver activations, sense-amp
   comparisons, solver cache hits/misses) and a static area breakdown,
   with per-category energy/latency/data-movement fractions.  Reports
-  merge associatively (:meth:`RunReport.merge` / :meth:`RunReport.reduce`)
-  in job order, so reducing per-worker reports is bit-identical to the
-  serial reduction.
+  merge element-wise (:meth:`RunReport.merge` / :meth:`RunReport.reduce`)
+  with keys visited in sorted order, so a fold in a fixed order is
+  deterministic.
 
 Instrumentation is call-granular (one dict increment per batched
 operation, never per element), keeping overhead on the hot batched VMM
 path well under the 5% budget gated by
 ``benchmarks/test_bench_telemetry.py``.  :func:`disabled` swaps in a
-:class:`NullTelemetry` for codepaths that want zero accounting.
+:class:`NullTelemetry` for codepaths that want zero accounting (sweep
+jobs still record into their own scopes; only the folded sum is
+dropped).
 """
 
 from __future__ import annotations
@@ -337,11 +342,10 @@ class RunReport:
     def reduce(
         cls, reports: Sequence["RunReport"], label: str = "reduced"
     ) -> "RunReport":
-        """Fold ``reports`` left-to-right (job order) into one report.
+        """Fold ``reports`` left-to-right into one report.
 
-        The fold order is part of the contract: per-job reports collected
-        by the sweep engine reduce to bit-identical totals at any worker
-        count because jobs are always folded by flat job index.
+        The fold order is part of the contract: reports folded in the
+        same order always reduce to bit-identical totals.
         """
         out = cls(label=label)
         for report in reports:

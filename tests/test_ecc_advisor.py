@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.costs import use_model
+from repro.utils import telemetry
+from repro.utils.telemetry import RunReport
 from repro.testing.ecc_advisor import (
     ADVISOR_PARAMETERS,
     DEFAULT_CODES,
@@ -131,7 +133,11 @@ class TestAdviseRows:
         )
 
     def test_with_report_conserves(self):
-        rows, report = advise_ecc(**FAST, with_report=True)
+        with telemetry.scoped() as scope:
+            rows = advise_ecc(**FAST)
+        report = RunReport.from_counters(
+            scope.snapshot(include_timers=False)["counters"]
+        )
         assert len(rows) == len(CODES) * len(YIELDS) * len(SCENARIOS)
         report.validate()
         data = report.to_dict()

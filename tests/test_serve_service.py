@@ -2,6 +2,7 @@
 admission control, per-request reports)."""
 
 import asyncio
+import json
 
 import numpy as np
 import pytest
@@ -183,24 +184,6 @@ class TestSweepAndDse:
         report = RunReport.from_dict(cold["report"])
         report.validate()
         assert report.total_energy > 0
-
-    def test_workers_stays_out_of_the_cache_key(self):
-        """Worker count never changes results (deterministic sweep
-        engine), so it must not fork a cache entry."""
-
-        async def main():
-            svc = make_service()
-            cold = await svc.submit(
-                {"kind": "sweep", "params": {**SWEEP, "workers": 0}}
-            )
-            warm = await svc.submit(
-                {"kind": "sweep", "params": {**SWEEP, "workers": 2}}
-            )
-            return cold, warm
-
-        cold, warm = run(main())
-        assert warm["cache"] == "hit"
-        assert warm["result"] == cold["result"]
 
     def test_nested_float_config_difference_misses(self):
         """Satellite regression: a sweep config differing only in one
@@ -512,30 +495,6 @@ class TestPipeline:
         assert first["result"]["throughput"] > 0
         RunReport.from_dict(first["report"]).validate()
 
-    def test_pipeline_result_is_independent_of_server_history(self):
-        """A served run is priced into per-run accumulators, so reusing
-        a cached allocation after another request changes nothing but
-        ``artifact_hits``."""
-
-        async def fresh():
-            svc = make_service()
-            return await svc.submit(
-                {"kind": "pipeline", "params": {"batch": 16}}
-            )
-
-        async def after_other_request():
-            svc = make_service()
-            await svc.submit({"kind": "pipeline", "params": {"batch": 32}})
-            return await svc.submit(
-                {"kind": "pipeline", "params": {"batch": 16}}
-            )
-
-        clean, reused = run(fresh()), run(after_other_request())
-        assert reused["result"].pop("artifact_hits")["alloc"] is True
-        assert clean["result"].pop("artifact_hits")["alloc"] is False
-        assert reused["result"] == clean["result"]
-        assert reused["report"] == clean["report"]
-
 
 class TestFaultsAndInvalidation:
     def test_fault_injection_invalidates_stale_results(self):
@@ -653,21 +612,6 @@ class TestEcc:
         report.validate()
         assert report.total_energy > 0
 
-    def test_ecc_workers_stays_out_of_the_cache_key(self):
-        async def main():
-            svc = make_service()
-            cold = await svc.submit(
-                {"kind": "ecc", "params": {**ECC, "workers": 0}}
-            )
-            warm = await svc.submit(
-                {"kind": "ecc", "params": {**ECC, "workers": 2}}
-            )
-            return cold, warm
-
-        cold, warm = run(main())
-        assert warm["cache"] == "hit"
-        assert warm["result"] == cold["result"]
-
     def test_ecc_energy_model_forks_the_cache_key(self):
         async def main():
             svc = make_service()
@@ -778,21 +722,6 @@ class TestWorkloadKinds:
             assert again["cache"] == "hit"
             assert again["result"] == aware["result"]
 
-    def test_workers_stays_out_of_workload_cache_keys(self):
-        async def main():
-            svc = make_service()
-            cold = await svc.submit(
-                {"kind": "attention", "params": {**ATTENTION, "workers": 0}}
-            )
-            warm = await svc.submit(
-                {"kind": "attention", "params": {**ATTENTION, "workers": 2}}
-            )
-            return cold, warm
-
-        cold, warm = run(main())
-        assert warm["cache"] == "hit"
-        assert warm["result"] == cold["result"]
-
     def test_workload_validation(self):
         async def main():
             svc = make_service()
@@ -807,6 +736,95 @@ class TestWorkloadKinds:
                 )
 
         run(main())
+
+
+#: One small request per job kind, for the checks that cover every kind.
+SMALL = {
+    "sweep": SWEEP,
+    "dse": {
+        "tile_counts": [4, 8],
+        "duplication_modes": ["none"],
+        "batch_sizes": [16],
+    },
+    "pipeline": {"batch": 16},
+    "ecc": ECC,
+    "attention": ATTENTION,
+    "train": TRAIN,
+}
+
+#: A different request of the same kind.  The pipeline one keeps the
+#: seed and changes only the batch, so it reuses the cached allocation.
+NEIGHBOUR = {kind: {**params, "seed": 1} for kind, params in SMALL.items()}
+NEIGHBOUR["pipeline"] = {"batch": 32}
+
+
+def same_bytes(a, b):
+    return json.dumps(a) == json.dumps(b)
+
+
+class TestEveryJobKind:
+    """Serving guarantees checked uniformly across every compute kind."""
+
+    @pytest.mark.parametrize("kind", sorted(JOB_KINDS))
+    def test_workers_stays_out_of_the_cache_key(self, kind):
+        """Worker count never changes a served result or report, so it
+        must not fork a cache entry: a parallel cold run answers a serial
+        warm request, and both match a serial run on a fresh service."""
+
+        def submit(svc, workers):
+            params = {**SMALL[kind], "workers": workers}
+            return svc.submit({"kind": kind, "params": params})
+
+        async def main():
+            svc = make_service()
+            cold = await submit(svc, 2)
+            warm = await submit(svc, 0)
+            serial = await submit(make_service(), 0)
+            return cold, warm, serial
+
+        cold, warm, serial = run(main())
+        assert warm["cache"] == "hit"
+        assert warm["result"] == cold["result"]
+        for response in (cold, warm):
+            assert same_bytes(response["result"], serial["result"])
+            assert same_bytes(response["report"], serial["report"])
+        RunReport.from_dict(serial["report"]).validate()
+        assert serial["report"]["totals"]["energy"] > 0
+
+    @pytest.mark.parametrize("kind", sorted(JOB_KINDS))
+    def test_result_is_independent_of_server_history(self, kind):
+        """A served run is priced into per-run accumulators, so serving
+        it after an infer, a fault injection, every other kind and a
+        neighbouring request of its own kind changes nothing — except a
+        pipeline's ``artifact_hits``, which records the reused cached
+        allocation."""
+        request = {"kind": kind, "params": SMALL[kind]}
+
+        async def fresh():
+            return await make_service().submit(request)
+
+        async def after_history():
+            svc = make_service()
+            await svc.submit(infer_request(inputs(1)[0]))
+            await svc.submit(
+                {
+                    "kind": "faults",
+                    "params": {"model": MODEL, "cell_yield": 0.8, "seed": 3},
+                }
+            )
+            for other in sorted(JOB_KINDS):
+                if other != kind:
+                    await svc.submit({"kind": other, "params": SMALL[other]})
+            await svc.submit({"kind": kind, "params": NEIGHBOUR[kind]})
+            return await svc.submit(request)
+
+        clean, reused = run(fresh()), run(after_history())
+        assert reused["cache"] == "miss"
+        if kind == "pipeline":
+            assert reused["result"].pop("artifact_hits")["alloc"] is True
+            assert clean["result"].pop("artifact_hits")["alloc"] is False
+        assert same_bytes(reused["result"], clean["result"])
+        assert same_bytes(reused["report"], clean["report"])
 
 
 class TestAdmissionControl:

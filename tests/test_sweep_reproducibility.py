@@ -15,6 +15,8 @@ from repro.costs import use_model
 from repro.faults.sweeps import endurance_capability_sweep, yield_fault_rate_sweep
 from repro.pipeline.explore import explore_pipeline
 from repro.testing.ecc import EccAnalysis, HammingSecDed, _mc_failure_rate_scalar
+from repro.utils import telemetry
+from repro.utils.telemetry import RunReport
 
 # Small configurations: these tests check determinism, not statistics.
 _NN_KW = dict(yields=(1.0, 0.8), trials=2, n_samples=120, epochs=15)
@@ -23,6 +25,15 @@ _CNN_KW = dict(yields=(1.0, 0.7), trials=2, n_samples=90, epochs=8)
 #: Every ported consumer must be bit-identical across this worker ladder
 #: (0 = serial reference; the pool sizes cover n_jobs < workers too).
 WORKER_LADDER = (1, 2, 4)
+
+
+def scoped_report(sweep, label, **kw):
+    """Run ``sweep(**kw)`` inside a fresh telemetry scope; return its
+    output and the counters the scope captured, as a report."""
+    with telemetry.scoped() as scope:
+        out = sweep(**kw)
+    counters = scope.snapshot(include_timers=False)["counters"]
+    return out, RunReport.from_counters(counters, label=label)
 
 
 class TestAccuracyVsYield:
@@ -142,13 +153,18 @@ class TestPipelineExplore:
 
 
 class TestSweepReports:
-    """Telemetry capture must not break determinism: the reduced report is
-    bit-identical at any worker count, and capture leaves results alone."""
+    """Telemetry capture must not break determinism: the report a caller's
+    scope receives is bit-identical at any worker count, and capture
+    leaves results alone."""
 
     def test_yield_sweep_report_serial_vs_parallel(self):
         kw = dict(yields=(0.9, 0.8), shape=(16, 16), trials=4, rng=0)
-        rows0, rep0 = yield_fault_rate_sweep(workers=0, with_report=True, **kw)
-        rows2, rep2 = yield_fault_rate_sweep(workers=2, with_report=True, **kw)
+        rows0, rep0 = scoped_report(
+            yield_fault_rate_sweep, "yield", workers=0, **kw
+        )
+        rows2, rep2 = scoped_report(
+            yield_fault_rate_sweep, "yield", workers=2, **kw
+        )
         assert rows0 == rows2
         assert rep0.to_json() == rep2.to_json()
         assert rep0.counters["faults.injected_cells"] > 0
@@ -156,24 +172,28 @@ class TestSweepReports:
     def test_capture_does_not_change_rows(self):
         kw = dict(yields=(0.9,), shape=(16, 16), trials=3, rng=0)
         plain = yield_fault_rate_sweep(**kw)
-        rows, _ = yield_fault_rate_sweep(with_report=True, **kw)
+        rows, _ = scoped_report(yield_fault_rate_sweep, "yield", **kw)
         assert plain == rows
 
     def test_endurance_summary_carries_report(self):
-        summary = endurance_capability_sweep(
+        summary, report = scoped_report(
+            endurance_capability_sweep,
+            "endurance_capability_sweep",
             trials=2, shape=(16, 16), total_writes=1e4, step=5e3,
-            with_report=True,
         )
-        report = summary["report"]
+        assert len(summary["trials"]) == 2
         report.validate()
         assert report.label == "endurance_capability_sweep"
+        # Wear-out injects hard faults inside the jobs; the caller's
+        # scope sees them.
+        assert report.counters["faults.injected_cells"] > 0
 
     def test_nn_sweep_report_serial_vs_parallel(self):
-        rows0, rep0 = accuracy_vs_yield(
-            rng=0, workers=0, with_report=True, **_NN_KW
+        rows0, rep0 = scoped_report(
+            accuracy_vs_yield, "nn", rng=0, workers=0, **_NN_KW
         )
-        rows2, rep2 = accuracy_vs_yield(
-            rng=0, workers=2, with_report=True, **_NN_KW
+        rows2, rep2 = scoped_report(
+            accuracy_vs_yield, "nn", rng=0, workers=2, **_NN_KW
         )
         assert rows0 == rows2
         assert rep0.to_json() == rep2.to_json()
@@ -225,11 +245,11 @@ class TestValueAwareSweeps:
 
     def test_nn_sweep_value_aware_report_serial_vs_parallel(self):
         with use_model("value_aware"):
-            rows0, rep0 = accuracy_vs_yield(
-                rng=0, workers=0, with_report=True, **_NN_KW
+            rows0, rep0 = scoped_report(
+                accuracy_vs_yield, "nn", rng=0, workers=0, **_NN_KW
             )
-            rows2, rep2 = accuracy_vs_yield(
-                rng=0, workers=2, with_report=True, **_NN_KW
+            rows2, rep2 = scoped_report(
+                accuracy_vs_yield, "nn", rng=0, workers=2, **_NN_KW
             )
         assert rows0 == rows2
         assert rep0.to_json() == rep2.to_json()

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from repro.utils import telemetry
 from repro.utils.parallel import (
     ENV_WORKERS,
     SharedArrayPack,
@@ -71,6 +72,28 @@ def _raise_on_two(trial, rng, arr):
     if trial == 2:
         raise ValueError("task failure on trial 2")
     return trial
+
+
+#: Probe increments whose floating-point sum depends on the order of
+#: addition (1e16 + 1.0 == 1e16).
+_PALETTE = (1e16, 1.0, -1e16, 3.0)
+
+
+def _probe_draws(count, rng):
+    """Add ``count`` palette values to the ``probe`` counter one at a time
+    and return them in the order they were added."""
+    values = [float(v) for v in rng.choice(_PALETTE, size=count)]
+    for v in values:
+        telemetry.current().incr("probe", v)
+    return values
+
+
+def _probe_trial(trial, rng):
+    return tuple(_probe_draws(3, rng))
+
+
+def _probe_grid(point, trial, rng):
+    return tuple(_probe_draws(3, rng))
 
 
 class TestResolveWorkers:
@@ -247,6 +270,66 @@ class TestRunBlocks:
     def test_invalid_block_size(self):
         with pytest.raises(ValueError):
             run_blocks(_block_draw, 10, block_size=0)
+
+
+def _probe_trials(workers):
+    out = run_trials(_probe_trial, 6, seed=0, workers=workers)
+    return out, out
+
+
+def _probe_grid_sweep(workers):
+    out = run_grid(
+        _probe_grid, ["a", "b", "c"], trials=2, seed=0, workers=workers
+    )
+    return out, [job for point in out for job in point]
+
+
+def _probe_blocks(workers):
+    out = run_blocks(_probe_draws, 10, block_size=3, seed=0, workers=workers)
+    return out, [out[lo : lo + 3] for lo in range(0, 10, 3)]
+
+
+def _sequential_sum(values, start=0.0):
+    total = start
+    for v in values:
+        total += v
+    return total
+
+
+class TestTelemetryFold:
+    """Each job runs in its own telemetry scope; the engine folds the
+    per-job counters in flat job order and adds the sum once into the
+    caller's scope, so the caller's counters never depend on the worker
+    count."""
+
+    #: What the caller's scope already holds when the sweep starts.
+    PRESET = 1.0
+
+    @pytest.mark.parametrize(
+        "sweep",
+        (_probe_trials, _probe_grid_sweep, _probe_blocks),
+        ids=("run_trials", "run_grid", "run_blocks"),
+    )
+    def test_caller_scope_receives_the_job_order_fold(self, sweep):
+        counters, outputs = {}, {}
+        for workers in (0, 2):
+            with telemetry.scoped() as scope:
+                scope.incr("probe", self.PRESET)
+                outputs[workers], jobs = sweep(workers)
+            counters[workers] = scope.snapshot(include_timers=False)["counters"]
+        job_sums = [_sequential_sum(job) for job in jobs]
+        expected = self.PRESET + _sequential_sum(job_sums)
+        # The probe values are order-sensitive: adding every increment,
+        # or every job's sum, straight into the caller's scope would give
+        # another total.
+        increments = (v for job in jobs for v in job)
+        assert expected != _sequential_sum(increments, self.PRESET)
+        assert expected != _sequential_sum(job_sums, self.PRESET)
+        assert counters[0] == counters[2]
+        assert counters[0] == {"probe": expected}
+        unscoped, _ = sweep(0)
+        for workers in (0, 2):
+            assert np.array_equal(outputs[workers], unscoped)
 
 
 class TestSharedMemoryArgs:
