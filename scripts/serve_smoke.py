@@ -6,8 +6,10 @@ inference request, a yield sweep and a small in-situ ``train`` job over
 the socket, then re-submits each job and asserts the second response is
 a results-cache hit that is bit-identical to the cold one — the serving
 layer's core contract, exercised through the same process boundary users
-cross.  The ``train`` job covers the device write path (write-verify,
-endurance wear, programming energy).  Its cold run fans out over two
+cross.  The served logits must equal the same model deployed in this
+process, and an input containing NaN must be a ``bad_request`` that
+leaves the server answering.  The ``train`` job covers the device write
+path (write-verify, endurance wear, programming energy).  Its cold run fans out over two
 sweep workers and its warm run asks for none, so the hit also proves the
 parallel path returns the full, non-empty report a serial run would.
 
@@ -15,6 +17,7 @@ Exits non-zero (with a message on stderr) on any violation.
 """
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -22,7 +25,7 @@ import sys
 
 sys.path.insert(0, "src")
 
-from repro.serve import ServeClient  # noqa: E402
+from repro.serve import ServeClient, SimulationService  # noqa: E402
 
 # Small enough to train in seconds on a CI runner, big enough to exercise
 # the tiled LU path (wire_resistance > 0) the batcher relies on.
@@ -92,10 +95,9 @@ def main():
         host, port = match.group(1), int(match.group(2))
         print(f"serve_smoke: server up on {host}:{port}")
 
+        x = [[0.1] * MODEL["n_features"]]
         with ServeClient(host, port, timeout=600) as client:
-            infer = client.request(
-                "infer", {"model": MODEL, "x": [[0.1] * MODEL["n_features"]]}
-            )
+            infer = client.request("infer", {"model": MODEL, "x": x})
             if not infer.get("ok"):
                 fail(f"inference failed: {infer.get('error')}")
             if len(infer["result"]["prediction"]) != 1:
@@ -104,6 +106,27 @@ def main():
                 "serve_smoke: infer ok, prediction="
                 f"{infer['result']['prediction']}"
             )
+            deployed = SimulationService().model_artifact(MODEL)[0].deployed
+            local = deployed.forward_batch(x, noisy=False).tolist()
+            if local != infer["result"]["logits"]:
+                fail(
+                    f"served logits {infer['result']['logits']} differ from "
+                    f"the in-process deployment {local}"
+                )
+            print("serve_smoke: served logits equal the in-process forward")
+
+            nan_x = [[math.nan] * MODEL["n_features"]]
+            bad = client.request("infer", {"model": MODEL, "x": nan_x})
+            code = (bad.get("error") or {}).get("code")
+            if bad.get("ok") or code != "bad_request":
+                fail(f"NaN infer must be a bad_request, got {bad}")
+            # A new input, so the request is computed, not a cache hit.
+            again = client.request(
+                "infer", {"model": MODEL, "x": [[0.2] * MODEL["n_features"]]}
+            )
+            if not again.get("ok") or again["cache"] != "miss":
+                fail(f"infer after a NaN request failed: {again.get('error')}")
+            print("serve_smoke: NaN infer is a bad_request, server serves on")
 
             cold = cold_then_warm(client, "sweep", SWEEP)
             print(f"serve_smoke: sweep ok ({len(cold['result'])} rows)")

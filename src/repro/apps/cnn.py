@@ -8,9 +8,9 @@ side of the story:
 * a minimal NumPy CNN (:class:`SimpleCNN`: conv -> ReLU -> dense ->
   softmax) trained with manual gradients on synthetic oriented-stripe
   images;
-* :class:`CrossbarCNN` — the same network deployed on
-  :class:`~repro.core.accelerator.CIMAccelerator` tiles, with the
-  convolution lowered to matrix multiplication by im2col (each image
+* :class:`CrossbarCNN` — the same network traced into a layer graph and
+  deployed on :class:`~repro.core.accelerator.CIMAccelerator` tiles, with
+  the convolution lowered to matrix multiplication by im2col (each image
   patch becomes one wordline-voltage vector; the kernel bank is the
   stationary conductance matrix — the weight-stationary dataflow every
   crossbar CNN accelerator uses).
@@ -18,12 +18,13 @@ side of the story:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.accelerator import AcceleratorParams, CIMAccelerator
+from repro.core.accelerator import AcceleratorParams
+from repro.pipeline.allocate import deploy
+from repro.pipeline.ir import trace_cnn
 from repro.utils.parallel import run_grid, seed_sequence_from
 from repro.utils.rng import RNGLike, ensure_rng, spawn_rngs
 from repro.utils.validation import check_positive
@@ -189,7 +190,15 @@ class SimpleCNN:
 
 
 class CrossbarCNN:
-    """The trained CNN deployed on CIM tiles (conv and dense layers)."""
+    """The trained CNN deployed on CIM tiles (conv and dense layers).
+
+    Like :class:`~repro.apps.nn.CrossbarMLP`, this is a traced graph
+    (:func:`~repro.pipeline.ir.trace_cnn`) put on tiles by
+    :func:`~repro.pipeline.allocate.deploy` and run through the pipeline's
+    stage code: the conv stage takes image pixels as they are
+    (``input_scale`` 1), the dense stage's input scale is calibrated on
+    the post-conv activations.
+    """
 
     def __init__(
         self,
@@ -199,25 +208,8 @@ class CrossbarCNN:
         rng: RNGLike = None,
     ) -> None:
         self.cnn = cnn
-        rngs = spawn_rngs(rng, 2)
-        # Conv kernel bank as a stationary matrix; patch values are
-        # already in [0, 1] (image domain), so input_scale is 1.
-        self._conv_scale = float(max(np.abs(cnn.conv_w).max(), 1e-12))
-        self.conv_accel = CIMAccelerator(
-            cnn.conv_w / self._conv_scale,
-            params=accel_params,
-            rng=rngs[0],
-        )
-        # Dense layer input scale calibrated on training activations.
-        patches, pre = cnn._conv_forward(np.asarray(calibration, dtype=float))
-        hidden = np.maximum(pre, 0.0).reshape(calibration.shape[0], -1)
-        self._dense_in_scale = float(max(hidden.max(), 1e-12))
-        self._dense_scale = float(max(np.abs(cnn.dense_w).max(), 1e-12))
-        self.dense_accel = CIMAccelerator(
-            cnn.dense_w / self._dense_scale,
-            params=accel_params,
-            rng=rngs[1],
-        )
+        graph = trace_cnn(cnn, calibration)
+        self.stages = deploy(graph, accel_params, rng=rng)
 
     def forward_one(self, image: np.ndarray, noisy: bool = False) -> np.ndarray:
         """Logits for one image, every MAC on the crossbars."""
@@ -230,32 +222,15 @@ class CrossbarCNN:
         All patches of all images share the stationary kernel bank, so
         the entire ``n * n_patches`` patch set runs as one multi-RHS pass
         over the conv tiles, and the dense layer sees the whole batch in
-        one :meth:`~repro.core.accelerator.CIMAccelerator.vmm_batch` call
-        — IR-drop-aware tiles factorize their nodal system once per layer
-        per batch instead of once per image.
+        one pass — IR-drop-aware tiles factorize their nodal system once
+        per layer per batch instead of once per image.
         """
-        images = np.asarray(images, dtype=float)
-        if images.ndim != 3:
-            raise ValueError(
-                f"images must be (batch, H, W), got {images.shape}"
-            )
-        batch = images.shape[0]
-        patches = im2col(images, self.cnn.kernel)
-        n_patches = patches.shape[1]
-        flat = patches.reshape(batch * n_patches, -1)
-        conv_out = (
-            self.conv_accel.vmm_batch(np.clip(flat, 0, 1), noisy=noisy)
-            * self._conv_scale
-            + self.cnn.conv_b
-        )
-        hidden = np.maximum(conv_out, 0.0).reshape(batch, -1)
-        scaled = np.clip(hidden / self._dense_in_scale, 0.0, 1.0)
-        return (
-            self.dense_accel.vmm_batch(scaled, noisy=noisy)
-            * self._dense_scale
-            * self._dense_in_scale
-            + self.cnn.dense_b
-        )
+        h = np.asarray(images, dtype=float)
+        if h.ndim != 3:
+            raise ValueError(f"images must be (batch, H, W), got {h.shape}")
+        for stage in self.stages:
+            h = stage.apply(h, noisy=noisy)
+        return h
 
     def predict(self, images: np.ndarray, noisy: bool = False) -> np.ndarray:
         """Labels for a batch (whole batch through the tiles at once)."""
@@ -274,10 +249,11 @@ class CrossbarCNN:
 
     def inject_yield_faults(self, cell_yield: float, rng: RNGLike = None) -> float:
         """SA0 fault populations on both layers; returns realized rate."""
-        rngs = spawn_rngs(rng, 2)
-        r1 = self.conv_accel.inject_yield_faults(cell_yield, rng=rngs[0])
-        r2 = self.dense_accel.inject_yield_faults(cell_yield, rng=rngs[1])
-        return float((r1 + r2) / 2)
+        conv, dense = (
+            stage.replicas[0].inject_yield_faults(cell_yield, rng=gen)
+            for stage, gen in zip(self.stages, spawn_rngs(rng, 2))
+        )
+        return float((conv + dense) / 2)
 
 
 def _cnn_yield_trial(

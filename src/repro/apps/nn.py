@@ -1,8 +1,9 @@
 """Neuromorphic computing on CIM: MLP inference on crossbar accelerators.
 
 Workflow (Section II-D1): an MLP is trained in software (pure NumPy SGD),
-its layers are deployed onto :class:`~repro.core.accelerator.CIMAccelerator`
-tiles, and inference runs as analog VMMs.  :func:`accuracy_vs_yield`
+traced into a layer graph whose stages are deployed onto
+:class:`~repro.core.accelerator.CIMAccelerator` tiles, and inference runs
+as analog VMMs.  :func:`accuracy_vs_yield`
 reproduces the [38] experiment the paper quotes — "classification accuracy
 ... with random stuck-at-0 faults is reduced by 35% when the yield drops
 to 80%" — on the synthetic substitute dataset.
@@ -10,13 +11,14 @@ to 80%" — on the synthetic substitute dataset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.apps.datasets import gaussian_blobs
-from repro.core.accelerator import AcceleratorParams, CIMAccelerator
+from repro.core.accelerator import AcceleratorParams
+from repro.pipeline.allocate import deploy
+from repro.pipeline.ir import trace_mlp
 from repro.utils.parallel import run_grid, seed_sequence_from
 from repro.utils.rng import RNGLike, ensure_rng, spawn_rngs
 from repro.utils.validation import check_positive
@@ -124,24 +126,18 @@ class MLP:
             self.biases[k] -= lr * grad_b
 
 
-@dataclass
-class _DeployedLayer:
-    """One MLP layer deployed to a crossbar accelerator."""
-
-    accelerator: CIMAccelerator
-    bias: np.ndarray
-    weight_scale: float       # multiply decoded output by this
-    input_scale: float        # inputs were divided by this before encode
-    last: bool
-
-
 class CrossbarMLP:
     """MLP inference engine running every layer on CIM tiles.
 
+    The network is a traced layer graph
+    (:func:`~repro.pipeline.ir.trace_mlp`: per-layer ``input_scale`` from
+    the calibration activations) put on tiles by
+    :func:`~repro.pipeline.allocate.deploy`, one replica per layer, so
+    inference runs the same stage code as the pipeline and the DSE.
     Weights are rescaled to ``[-1, 1]`` per layer; activations are
-    rescaled to ``[0, 1]`` using calibration data before encoding.  The
-    fault-injection hook perturbs every tile, after which accuracy can be
-    re-measured — the accuracy-vs-yield experiment.
+    rescaled to ``[0, 1]`` before encoding.  The fault-injection hook
+    perturbs every tile, after which accuracy can be re-measured — the
+    accuracy-vs-yield experiment.
     """
 
     def __init__(
@@ -152,30 +148,8 @@ class CrossbarMLP:
         rng: RNGLike = None,
     ) -> None:
         self.mlp = mlp
-        calibration = np.asarray(calibration, dtype=float)
-        rngs = spawn_rngs(rng, mlp.n_layers)
-        self.layers: List[_DeployedLayer] = []
-        h = calibration
-        for k, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-            input_scale = float(max(h.max(), 1e-12))
-            w_scale = float(max(np.abs(w).max(), 1e-12))
-            accel = CIMAccelerator(
-                w / w_scale,
-                params=accel_params,
-                rng=rngs[k],
-            )
-            self.layers.append(
-                _DeployedLayer(
-                    accelerator=accel,
-                    bias=b,
-                    weight_scale=w_scale * input_scale,
-                    input_scale=input_scale,
-                    last=k == mlp.n_layers - 1,
-                )
-            )
-            z = h @ w + b
-            h = _relu(z) if k < mlp.n_layers - 1 else z
-        self._n_classes = mlp.layer_sizes[-1]
+        graph = trace_mlp(mlp, calibration)
+        self.stages = deploy(graph, accel_params, rng=rng)
 
     def forward_one(self, x: np.ndarray, noisy: bool = True) -> np.ndarray:
         """Logits for one sample, all VMMs on the crossbars."""
@@ -184,22 +158,16 @@ class CrossbarMLP:
     def forward_batch(self, x: np.ndarray, noisy: bool = True) -> np.ndarray:
         """Logits for a batch ``(n, features)``, all VMMs on the crossbars.
 
-        The whole batch flows through each layer's accelerator in one
-        :meth:`~repro.core.accelerator.CIMAccelerator.vmm_batch` call, so
-        IR-drop-aware tiles factorize their nodal system once per layer
-        per batch instead of once per sample.
+        The whole batch flows through each layer's stage
+        (:meth:`~repro.pipeline.allocate.StageAllocation.apply`) in one
+        pass, so IR-drop-aware tiles factorize their nodal system once per
+        layer per batch instead of once per sample.
         """
         h = np.asarray(x, dtype=float)
         if h.ndim != 2:
             raise ValueError(f"x must be (batch, features), got {h.shape}")
-        for layer in self.layers:
-            scaled = np.clip(h / layer.input_scale, 0.0, 1.0)
-            z = (
-                layer.accelerator.vmm_batch(scaled, noisy=noisy)
-                * layer.weight_scale
-                + layer.bias
-            )
-            h = z if layer.last else _relu(z)
+        for stage in self.stages:
+            h = stage.apply(h, noisy=noisy)
         return h
 
     def predict(self, x: np.ndarray, noisy: bool = True) -> np.ndarray:
@@ -213,11 +181,15 @@ class CrossbarMLP:
 
     def inject_yield_faults(self, cell_yield: float, rng: RNGLike = None) -> float:
         """Inject SA0 populations on every layer; returns realized rate."""
-        rates = []
-        rngs = spawn_rngs(rng, len(self.layers))
-        for layer, gen in zip(self.layers, rngs):
-            rates.append(layer.accelerator.inject_yield_faults(cell_yield, rng=gen))
-        return float(np.mean(rates))
+        rngs = spawn_rngs(rng, len(self.stages))
+        return float(
+            np.mean(
+                [
+                    stage.replicas[0].inject_yield_faults(cell_yield, rng=gen)
+                    for stage, gen in zip(self.stages, rngs)
+                ]
+            )
+        )
 
     # ---------------------------------------------------- fault introspection
     def layer_fault_masks(self) -> List[np.ndarray]:
@@ -229,19 +201,12 @@ class CrossbarMLP:
         healthy weights retrain around it.
         """
         masks = []
-        for layer, w in zip(self.layers, self.mlp.weights):
-            rows, cols = w.shape
-            mask = np.zeros((rows, cols), dtype=bool)
-            accel = layer.accelerator
-            p = accel.params
-            for bi, tile_row in enumerate(accel.tiles):
-                for bj, core in enumerate(tile_row):
-                    stuck = core.array.stuck_mask
-                    logical = stuck[:, 0::2] | stuck[:, 1::2]
-                    r0, c0 = bi * p.tile_rows, bj * p.tile_cols
-                    r1 = min(r0 + p.tile_rows, rows)
-                    c1 = min(c0 + p.tile_cols, cols)
-                    mask[r0:r1, c0:c1] |= logical[: r1 - r0, : c1 - c0]
+        for stage in self.stages:
+            mask = np.zeros(stage.node.weights.shape, dtype=bool)
+            for core, window, corner in stage.replicas[0].blocks():
+                stuck = core.array.stuck_mask
+                logical = stuck[:, 0::2] | stuck[:, 1::2]
+                mask[window] |= logical[corner]
             masks.append(mask)
         return masks
 
@@ -249,24 +214,14 @@ class CrossbarMLP:
         """The weights the hardware actually implements, decoded from the
         (possibly faulty) conductances, in absolute (software) units."""
         effective = []
-        for layer, w in zip(self.layers, self.mlp.weights):
-            rows, cols = w.shape
-            out = np.zeros((rows, cols))
-            accel = layer.accelerator
-            p = accel.params
-            w_scale = layer.weight_scale / layer.input_scale
-            for bi, tile_row in enumerate(accel.tiles):
-                for bj, core in enumerate(tile_row):
-                    g = core.array.conductances()
-                    mapping = core.mapping
-                    span = mapping.levels.g_max - mapping.levels.g_min
-                    decoded = (
-                        (g[:, 0::2] - g[:, 1::2]) * mapping.w_max / span
-                    )
-                    r0, c0 = bi * p.tile_rows, bj * p.tile_cols
-                    r1 = min(r0 + p.tile_rows, rows)
-                    c1 = min(c0 + p.tile_cols, cols)
-                    out[r0:r1, c0:c1] = decoded[: r1 - r0, : c1 - c0] * w_scale
+        for stage in self.stages:
+            out = np.zeros(stage.node.weights.shape)
+            for core, window, corner in stage.replicas[0].blocks():
+                g = core.array.conductances()
+                mapping = core.mapping
+                span = mapping.levels.g_max - mapping.levels.g_min
+                decoded = (g[:, 0::2] - g[:, 1::2]) * mapping.w_max / span
+                out[window] = decoded[corner] * stage.weight_scale
             effective.append(out)
         return effective
 
@@ -277,24 +232,14 @@ class CrossbarMLP:
         hardware), so reprogramming after fault-aware retraining lands the
         compensating weights on the healthy cells only.
         """
-        if len(weights) != len(self.layers):
+        if len(weights) != len(self.stages):
             raise ValueError(
-                f"expected {len(self.layers)} weight matrices, got {len(weights)}"
+                f"expected {len(self.stages)} weight matrices, "
+                f"got {len(weights)}"
             )
-        for layer, w in zip(self.layers, weights):
-            accel = layer.accelerator
-            p = accel.params
-            w_scale = layer.weight_scale / layer.input_scale
-            scaled = np.clip(np.asarray(w, dtype=float) / w_scale, -1.0, 1.0)
-            rows, cols = scaled.shape
-            for bi, tile_row in enumerate(accel.tiles):
-                for bj, core in enumerate(tile_row):
-                    block = np.zeros((p.tile_rows, p.tile_cols))
-                    r0, c0 = bi * p.tile_rows, bj * p.tile_cols
-                    r1 = min(r0 + p.tile_rows, rows)
-                    c1 = min(c0 + p.tile_cols, cols)
-                    block[: r1 - r0, : c1 - c0] = scaled[r0:r1, c0:c1]
-                    core.program_weights(block)
+        for stage, w in zip(self.stages, weights):
+            scaled = np.asarray(w, dtype=float) / stage.weight_scale
+            stage.replicas[0].program_weights(np.clip(scaled, -1.0, 1.0))
 
 
 def _rebuild_mlp(

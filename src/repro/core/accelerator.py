@@ -12,7 +12,7 @@ substrate :mod:`repro.apps.nn` runs DNN layers on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -21,6 +21,9 @@ from repro.core.metrics import CostAccumulator, OperationCost
 from repro.devices.variability import VariabilityStack
 from repro.utils.rng import RNGLike, ensure_rng, spawn_rngs
 from repro.utils.telemetry import RunReport
+
+#: A 2-D ``(row_slice, col_slice)`` index.
+_Index = Tuple[slice, slice]
 
 
 @dataclass
@@ -62,8 +65,6 @@ class CIMAccelerator:
         weights = np.asarray(weights, dtype=float)
         if weights.ndim != 2:
             raise ValueError(f"weights must be 2-D, got shape {weights.shape}")
-        if np.max(np.abs(weights)) > 1.0 + 1e-9:
-            raise ValueError("weights must be pre-scaled to [-1, 1]")
         self.params = params or AcceleratorParams()
         self.weights = weights
         p = self.params
@@ -71,12 +72,9 @@ class CIMAccelerator:
         self.n_row_blocks = (rows + p.tile_rows - 1) // p.tile_rows
         self.n_col_blocks = (cols + p.tile_cols - 1) // p.tile_cols
         rngs = spawn_rngs(rng, self.n_row_blocks * self.n_col_blocks)
-
-        self.tiles: List[List[CIMCore]] = []
-        for bi in range(self.n_row_blocks):
-            tile_row: List[CIMCore] = []
-            for bj in range(self.n_col_blocks):
-                core = CIMCore(
+        self.tiles: List[List[CIMCore]] = [
+            [
+                CIMCore(
                     CIMCoreParams(
                         rows=p.tile_rows,
                         logical_cols=p.tile_cols,
@@ -86,14 +84,11 @@ class CIMAccelerator:
                     variability=variability,
                     rng=rngs[bi * self.n_col_blocks + bj],
                 )
-                block = np.zeros((p.tile_rows, p.tile_cols))
-                r0, c0 = bi * p.tile_rows, bj * p.tile_cols
-                r1 = min(r0 + p.tile_rows, rows)
-                c1 = min(c0 + p.tile_cols, cols)
-                block[: r1 - r0, : c1 - c0] = weights[r0:r1, c0:c1]
-                core.program_weights(block)
-                tile_row.append(core)
-            self.tiles.append(tile_row)
+                for bj in range(self.n_col_blocks)
+            ]
+            for bi in range(self.n_row_blocks)
+        ]
+        self.program_weights(weights)
 
     @property
     def n_tiles(self) -> int:
@@ -117,17 +112,26 @@ class CIMAccelerator:
         if np.max(np.abs(weights)) > 1.0 + 1e-9:
             raise ValueError("weights must be pre-scaled to [-1, 1]")
         p = self.params
-        rows, cols = weights.shape
-        for bi in range(self.n_row_blocks):
+        for core, window, corner in self.blocks():
+            block = np.zeros((p.tile_rows, p.tile_cols))
+            block[corner] = weights[window]
+            core.program_weights(block)
+        self.weights = weights
+
+    def blocks(self) -> Iterator[Tuple[CIMCore, _Index, _Index]]:
+        """Every tile in grid order as ``(core, window, corner)``:
+        ``window`` indexes the block of the logical matrix the tile holds,
+        ``corner`` the same-shape top-left corner of the tile (the rest of
+        the tile is zero padding)."""
+        p = self.params
+        rows, cols = self.weights.shape
+        for bi, tile_row in enumerate(self.tiles):
             r0 = bi * p.tile_rows
             r1 = min(r0 + p.tile_rows, rows)
-            for bj in range(self.n_col_blocks):
+            for bj, core in enumerate(tile_row):
                 c0 = bj * p.tile_cols
                 c1 = min(c0 + p.tile_cols, cols)
-                block = np.zeros((p.tile_rows, p.tile_cols))
-                block[: r1 - r0, : c1 - c0] = weights[r0:r1, c0:c1]
-                self.tiles[bi][bj].program_weights(block)
-        self.weights = weights
+                yield core, np.s_[r0:r1, c0:c1], np.s_[: r1 - r0, : c1 - c0]
 
     def vmm(self, x: np.ndarray, noisy: bool = True) -> np.ndarray:
         """``y ~ x @ W`` over the tile grid with digital accumulation."""
@@ -135,20 +139,7 @@ class CIMAccelerator:
         rows, cols = self.weights.shape
         if x.shape != (rows,):
             raise ValueError(f"x must have shape ({rows},), got {x.shape}")
-        if np.any((x < 0) | (x > 1)):
-            raise ValueError("inputs must be in [0, 1]")
-        p = self.params
-        y = np.zeros(self.n_col_blocks * p.tile_cols)
-        for bi in range(self.n_row_blocks):
-            r0 = bi * p.tile_rows
-            r1 = min(r0 + p.tile_rows, rows)
-            x_block = np.zeros(p.tile_rows)
-            x_block[: r1 - r0] = x[r0:r1]
-            for bj in range(self.n_col_blocks):
-                c0 = bj * p.tile_cols
-                partial = self.tiles[bi][bj].vmm(x_block, noisy=noisy)
-                y[c0 : c0 + p.tile_cols] += partial
-        return y[:cols]
+        return self.vmm_batch(x[None], noisy)[0]
 
     def vmm_batch(self, x: np.ndarray, noisy: bool = True) -> np.ndarray:
         """Batched ``y ~ x @ W``: each row of ``x`` is one input vector.

@@ -100,8 +100,8 @@ def fault_aware_retrain(
 
     deployed.reprogram(masked.weights)
     # Biases retrain freely in software; carry them over.
-    for layer, bias in zip(deployed.layers, masked.biases):
-        layer.bias = bias.copy()
+    for stage, bias in zip(deployed.stages, masked.biases):
+        stage.node.bias = bias.copy()
 
     accuracy_after = deployed.accuracy(x_test, y_test, noisy=False)
     return RetrainReport(

@@ -25,6 +25,7 @@ from repro.pipeline.allocate import (
     StageAllocation,
     TileInventory,
     allocate,
+    deploy,
     tiles_required,
 )
 from repro.pipeline.explore import (
@@ -65,6 +66,7 @@ __all__ = [
     "StageAllocation",
     "Allocation",
     "tiles_required",
+    "deploy",
     "allocate",
     "InterconnectParams",
     "Interconnect",

@@ -7,7 +7,10 @@ stage replica is a :class:`~repro.core.accelerator.CIMAccelerator`, so the
 differential-pair encoding (:mod:`repro.crossbar.mapping`), the
 non-divisible-shape zero-padding and the digital partial-sum accumulation
 are exactly the code paths tier-1 already locks down — and adds the two
-decisions that only exist at whole-model scope:
+decisions that only exist at whole-model scope (:func:`deploy` programs
+the stages once they are made; it is also how
+:class:`~repro.apps.nn.CrossbarMLP` and :class:`~repro.apps.cnn.CrossbarCNN`
+put a traced network on tiles):
 
 * **Tile budgeting** — each stage needs
   ``ceil(rows / tile_rows) * ceil(cols / tile_cols)`` tiles per replica;
@@ -23,7 +26,7 @@ decisions that only exist at whole-model scope:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -39,6 +42,7 @@ __all__ = [
     "StageAllocation",
     "Allocation",
     "tiles_required",
+    "deploy",
     "allocate",
 ]
 
@@ -89,7 +93,6 @@ class StageAllocation:
     node: LayerNode
     replicas: List[CIMAccelerator]
     weight_scale: float
-    tiles_per_replica: int
 
     @property
     def name(self) -> str:
@@ -104,7 +107,7 @@ class StageAllocation:
     @property
     def n_tiles(self) -> int:
         """Total tiles consumed by all replicas."""
-        return self.tiles_per_replica * self.n_replicas
+        return self.replicas[0].n_tiles * self.n_replicas
 
     def replica_for(self, microbatch_index: int) -> int:
         """Static round-robin replica assignment.
@@ -121,11 +124,12 @@ class StageAllocation:
     ) -> np.ndarray:
         """Run one micro-batch through this stage on its assigned replica.
 
-        Mirrors the :class:`~repro.apps.nn.CrossbarMLP` /
-        :class:`~repro.apps.cnn.CrossbarCNN` math: activations are scaled
-        into ``[0, 1]`` by ``input_scale``, the crossbar output is
-        rescaled by ``weight_scale * input_scale`` and biased, then the
-        node's activation applies.
+        This is the one deployed-layer forward pass: the pipeline, the
+        DSE and :class:`~repro.apps.nn.CrossbarMLP` /
+        :class:`~repro.apps.cnn.CrossbarCNN` all run it.  Activations are
+        scaled into ``[0, 1]`` by ``input_scale``, the crossbar output is
+        rescaled by ``weight_scale`` then ``input_scale`` and biased, then
+        the node's activation applies.
 
         For ``matmul`` stages ``h`` is the *(left, right)* payload pair:
         each sample's right operand is programmed into the replica's
@@ -354,31 +358,52 @@ def allocate(
                 f"inventory has {inventory.n_tiles}"
             )
 
-    rngs = spawn_rngs(rng, sum(counts))
-    params = inventory.accelerator_params()
+    stages = deploy(
+        graph, inventory.accelerator_params(), replicas=counts, rng=rng
+    )
+    return Allocation(graph=graph, inventory=inventory, stages=stages)
+
+
+def deploy(
+    graph: LayerGraph,
+    params: Optional[AcceleratorParams] = None,
+    *,
+    replicas: Optional[Sequence[int]] = None,
+    rng: RNGLike = None,
+) -> List[StageAllocation]:
+    """Program every node of ``graph`` onto its own replica accelerators.
+
+    Each weight layer is normalized by its ``w_max`` into ``[-1, 1]`` and
+    written onto ``replicas[s]`` (default one) :class:`CIMAccelerator`
+    copies tiled by ``params``.  One deployment stream is spawned per
+    replica in stage-major order, so a given seed always programs
+    identical conductances.  No tile budget applies: :func:`allocate`
+    decides the replica counts against an inventory first.
+    """
+    counts = [1] * len(graph) if replicas is None else list(replicas)
+    if len(counts) != len(graph) or min(counts) < 1:
+        raise ValueError(
+            f"replicas needs {len(graph)} counts >= 1, got {counts}"
+        )
+    rngs = iter(spawn_rngs(rng, sum(counts)))
     stages: List[StageAllocation] = []
-    k = 0
-    for node, tiles, n_replicas in zip(graph, per_replica, counts):
+    for node, n_replicas in zip(graph, counts):
         if node.kind == "matmul":
             # The crossbar contents are data: scaling is per-sample at
             # execution time, the static placeholder carries no scale.
             w_scale = 1.0
         else:
             w_scale = float(max(np.abs(node.weights).max(), 1e-12))
-        replicas = []
-        for _ in range(n_replicas):
-            replicas.append(
-                CIMAccelerator(
-                    node.weights / w_scale, params=params, rng=rngs[k]
-                )
-            )
-            k += 1
         stages.append(
             StageAllocation(
                 node=node,
-                replicas=replicas,
+                replicas=[
+                    CIMAccelerator(
+                        node.weights / w_scale, params=params, rng=next(rngs)
+                    )
+                    for _ in range(n_replicas)
+                ],
                 weight_scale=w_scale,
-                tiles_per_replica=tiles,
             )
         )
-    return Allocation(graph=graph, inventory=inventory, stages=stages)
+    return stages

@@ -11,12 +11,12 @@ machine full of tiles":
 * :class:`LayerGraph` — a validated *DAG* of nodes with a software
   reference forward pass (the numerics oracle every schedule must match);
 * :class:`GraphBuilder` — a fluent builder for hand-written graphs;
-* :func:`trace_mlp` / :func:`trace_cnn` — extraction from the existing
+* :func:`trace_mlp` / :func:`trace_cnn` — extraction from the
   :class:`~repro.apps.nn.MLP` and :class:`~repro.apps.cnn.SimpleCNN`
-  models, using the same calibration rules as
+  models (per-layer ``input_scale`` from calibration activations,
+  ``w_max`` normalization at deployment time).
   :class:`~repro.apps.nn.CrossbarMLP` / :class:`~repro.apps.cnn.CrossbarCNN`
-  (per-layer ``input_scale`` from calibration activations, ``w_max``
-  normalization at allocation time).
+  are these traced graphs deployed onto tiles.
 
 The graph is a general fork-join DAG: nodes declare their producers by
 name (``inputs``), nodes with no declared producers auto-wire as a chain
@@ -81,7 +81,7 @@ class LayerNode:
     ``kind`` is ``"dense"`` (``y = act(x @ W + b)``), ``"conv2d"``
     (im2col lowering: every ``kernel x kernel`` patch of the input image
     becomes one wordline vector against the stationary ``(k*k, filters)``
-    kernel bank, exactly as :class:`~repro.apps.cnn.CrossbarCNN` does) or
+    kernel bank, the weight-stationary dataflow of a crossbar CNN) or
     ``"matmul"`` (``Y = act(scale * A @ B + b)`` per sample, with ``A``
     from the first producer and ``B`` from the second, programmed into
     the crossbar — ``weights`` is then a placeholder fixing the crossbar
@@ -587,9 +587,10 @@ class GraphBuilder:
 def trace_mlp(mlp, calibration: np.ndarray) -> LayerGraph:
     """Extract a :class:`LayerGraph` from an :class:`~repro.apps.nn.MLP`.
 
-    Per-layer ``input_scale`` comes from the calibration activations,
-    exactly as :class:`~repro.apps.nn.CrossbarMLP` computes it; hidden
-    layers are relu, the output layer emits raw logits.
+    Per-layer ``input_scale`` is the maximum of that layer's calibration
+    activations (the divisor that maps them into the crossbar's ``[0, 1]``
+    input domain); hidden layers are relu, the output layer emits raw
+    logits.  :class:`~repro.apps.nn.CrossbarMLP` is this graph deployed.
     """
     calibration = np.asarray(calibration, dtype=float)
     if calibration.ndim != 2 or calibration.shape[1] != mlp.layer_sizes[0]:
@@ -618,7 +619,8 @@ def trace_cnn(cnn, calibration: np.ndarray) -> LayerGraph:
 
     The conv stage's inputs are image pixels already in ``[0, 1]``
     (``input_scale=1``); the dense stage's scale is calibrated on the
-    post-conv activations, as :class:`~repro.apps.cnn.CrossbarCNN` does.
+    post-conv activations.  :class:`~repro.apps.cnn.CrossbarCNN` is this
+    graph deployed.
     """
     calibration = np.asarray(calibration, dtype=float)
     patches, pre = cnn._conv_forward(calibration)

@@ -753,6 +753,12 @@ class SimulationService:
                 "or a list of them",
                 field="x",
             )
+        # JSON admits NaN; one non-finite row would poison the whole
+        # coalesced flush's report, so it never reaches the batcher.
+        if not np.isfinite(x).all():
+            raise BadRequestError(
+                "infer parameter 'x' must be finite numbers", field="x"
+            )
         fp = artifact.fingerprint
         # Key on the model *fingerprint* (injective for normalized
         # configs) rather than re-embedding the whole config — request

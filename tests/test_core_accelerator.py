@@ -137,6 +137,24 @@ class TestPartialSumNonDivisible:
         assert np.corrcoef(y, ref)[0, 1] > 0.999
 
 
+    def test_blocks_cover_the_matrix_once(self, rng):
+        """Every logical weight sits in exactly one tile window, whose
+        tile-local corner has the window's shape."""
+        w = rng.uniform(-1, 1, (37, 13))
+        accel = CIMAccelerator(
+            w, AcceleratorParams(tile_rows=16, tile_cols=8), rng=5
+        )
+        cover = np.zeros(w.shape, dtype=int)
+        blocks = list(accel.blocks())
+        assert [core for core, _, _ in blocks] == [
+            core for row in accel.tiles for core in row
+        ]
+        for core, window, corner in blocks:
+            cover[window] += 1
+            assert np.zeros((16, 8))[corner].shape == w[window].shape
+        assert (cover == 1).all()
+
+
 class TestFaultInjection:
     def test_yield_injection_across_tiles(self, rng):
         w = rng.uniform(-1, 1, (100, 50))

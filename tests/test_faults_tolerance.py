@@ -28,7 +28,7 @@ class TestFaultIntrospection:
     def test_masks_match_stuck_cells(self, faulty_deployment):
         deployed, *_ = faulty_deployment
         masks = deployed.layer_fault_masks()
-        assert len(masks) == len(deployed.layers)
+        assert len(masks) == len(deployed.stages)
         # ~20% cell faults, differential pairs double the exposure.
         assert 0.2 < masks[0].mean() < 0.6
 

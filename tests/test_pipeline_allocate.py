@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.core.accelerator import AcceleratorParams
 from repro.pipeline import (
     AllocationError,
     GraphBuilder,
     TileInventory,
     allocate,
+    deploy,
     tiles_required,
 )
 from repro.pipeline.explore import reference_conv_graph, reference_graph
@@ -33,6 +35,25 @@ class TestTilesRequired:
         g = _mlp_graph(rng, (100, 50, 10))
         inv = TileInventory(n_tiles=16, tile_rows=64, tile_cols=32)
         assert tiles_required(g.nodes[0], inv) == 4  # ceil(100/64)*ceil(50/32)
+
+
+class TestDeploy:
+    def test_one_replica_per_stage_on_the_callers_tiles(self, rng):
+        g = _mlp_graph(rng, (100, 50, 10))
+        params = AcceleratorParams(tile_rows=64, tile_cols=32, adc_bits=6)
+        stages = deploy(g, params, rng=0)
+        inv = TileInventory(n_tiles=16, tile_rows=64, tile_cols=32)
+        assert [s.n_replicas for s in stages] == [1, 1]
+        assert [s.n_tiles for s in stages] == [
+            tiles_required(node, inv) for node in g
+        ]
+        assert all(s.replicas[0].params is params for s in stages)
+
+    def test_replica_counts_are_checked(self, rng):
+        g = _mlp_graph(rng)
+        for counts in ([1, 1], [1, 0, 1]):
+            with pytest.raises(ValueError, match="replicas"):
+                deploy(g, replicas=counts)
 
 
 class TestAllocate:

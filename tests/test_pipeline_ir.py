@@ -244,9 +244,15 @@ class TestTraceMLP:
         calib = rng.uniform(0, 1, (30, 12))
         graph = trace_mlp(mlp, calib)
         xb = CrossbarMLP(mlp, calib, rng=0)
-        assert [n.input_scale for n in graph] == pytest.approx(
-            [layer.input_scale for layer in xb.layers]
-        )
+        # Each layer's scale is the max of its calibration activations.
+        expected = []
+        h = calib
+        for k, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+            expected.append(float(h.max()))
+            z = h @ w + b
+            h = z if k == mlp.n_layers - 1 else np.maximum(z, 0.0)
+        assert [n.input_scale for n in graph] == expected
+        assert [stage.node.input_scale for stage in xb.stages] == expected
 
     def test_calibration_shape_checked(self, rng):
         mlp = MLP((12, 10, 4), rng=rng)

@@ -68,9 +68,7 @@ class TestNumericalIdentity:
 
     def test_matches_crossbar_mlp(self, rng):
         """One replica per stage + the traced IR must reproduce the
-        existing CrossbarMLP deployment.  CrossbarMLP pre-multiplies
-        ``w_scale * input_scale`` where the stage multiplies twice, so
-        agreement is to the last ulp rather than bit-exact."""
+        existing CrossbarMLP deployment."""
         mlp = MLP((16, 24, 12, 5), rng=rng)
         calib = rng.uniform(0, 1, (32, 16))
         x = rng.uniform(0, 1, (20, 16))
@@ -82,7 +80,7 @@ class TestNumericalIdentity:
             .run(x, mode="pipelined")
             .outputs
         )
-        np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-14)
+        assert np.array_equal(out, ref)
 
     def test_matches_crossbar_cnn_exactly(self, rng):
         cnn = SimpleCNN(rng=rng)

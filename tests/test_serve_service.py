@@ -155,6 +155,34 @@ class TestInfer:
         assert bad.payload()["field"] == "x"
         assert svc.inflight == 0
 
+    def test_nan_infer_never_poisons_its_batch(self):
+        """A non-finite ``x`` is rejected before the batcher, so the valid
+        requests it would have coalesced with answer exactly as solo
+        runs do."""
+
+        async def main():
+            svc = make_service(batch_window_s=0.05)
+            xs = inputs(2, seed=9)
+            responses = await asyncio.wait_for(
+                asyncio.gather(
+                    svc.submit(infer_request(xs[0])),
+                    svc.submit(infer_request([float("nan")] * 16)),
+                    svc.submit(infer_request(xs[1])),
+                    return_exceptions=True,
+                ),
+                10,
+            )
+            solo = [await make_service().submit(infer_request(x)) for x in xs]
+            return svc, responses, solo
+
+        svc, (first, bad, second), solo = run(main())
+        assert isinstance(bad, BadRequestError)
+        assert bad.payload()["field"] == "x"
+        for good, ref in zip((first, second), solo):
+            assert good["ok"]
+            assert same_bytes(good["result"], ref["result"])
+        assert svc.inflight == 0
+
     def test_infer_input_validation(self):
         async def main():
             svc = make_service()
@@ -540,8 +568,8 @@ class TestFaultsAndInvalidation:
             assert hit
             tiles = [
                 core
-                for layer in artifact.deployed.layers
-                for row in layer.accelerator.tiles
+                for stage in artifact.deployed.stages
+                for row in stage.replicas[0].tiles
                 for core in row
             ]
             cached_before = sum(t._ir_solver.cache_len for t in tiles)
@@ -690,38 +718,6 @@ class TestWorkloadKinds:
         report.validate()
         assert report.total_energy > 0  # programming energy was charged
 
-    def test_energy_model_forks_workload_cache_keys(self):
-        """Regression: the energy-model spec is part of both workload
-        kinds' result fingerprints — a value-aware run must never be
-        served a static entry (and vice versa)."""
-
-        async def main():
-            svc = make_service()
-            results = {}
-            for kind, params in (("attention", ATTENTION), ("train", TRAIN)):
-                static = await svc.submit({"kind": kind, "params": params})
-                aware = await svc.submit(
-                    {
-                        "kind": kind,
-                        "params": {**params, "energy_model": "value_aware"},
-                    }
-                )
-                again = await svc.submit(
-                    {
-                        "kind": kind,
-                        "params": {**params, "energy_model": "value_aware"},
-                    }
-                )
-                results[kind] = (static, aware, again)
-            return results
-
-        results = run(main())
-        for kind, (static, aware, again) in results.items():
-            assert static["cache"] == "miss"
-            assert aware["cache"] == "miss", kind
-            assert again["cache"] == "hit"
-            assert again["result"] == aware["result"]
-
     def test_workload_validation(self):
         async def main():
             svc = make_service()
@@ -790,6 +786,29 @@ class TestEveryJobKind:
             assert same_bytes(response["report"], serial["report"])
         RunReport.from_dict(serial["report"]).validate()
         assert serial["report"]["totals"]["energy"] > 0
+
+    @pytest.mark.parametrize("kind", sorted(JOB_KINDS))
+    def test_energy_model_forks_the_cache_key(self, kind):
+        """The parsed energy-model spec is part of every result key: a
+        value-aware run is never served a static entry, and a repeated
+        value-aware run is a hit on its own entry."""
+
+        def submit(svc, energy_model):
+            params = {**SMALL[kind], "energy_model": energy_model}
+            return svc.submit({"kind": kind, "params": params})
+
+        async def main():
+            svc = make_service()
+            static = await submit(svc, "static")
+            aware = await submit(svc, "value_aware")
+            again = await submit(svc, "value_aware")
+            return static, aware, again
+
+        static, aware, again = run(main())
+        assert static["cache"] == "miss"
+        assert aware["cache"] == "miss"
+        assert again["cache"] == "hit"
+        assert again["result"] == aware["result"]
 
     @pytest.mark.parametrize("kind", sorted(JOB_KINDS))
     def test_result_is_independent_of_server_history(self, kind):
