@@ -2,8 +2,9 @@
 """End-to-end smoke test for the serving layer, run by CI.
 
 Starts a real ``cimflow serve`` process on an ephemeral port, submits an
-inference request, a yield sweep and a small in-situ ``train`` job over
-the socket, then re-submits each job and asserts the second response is
+inference request, a yield sweep, a small in-situ ``train`` job, a small
+``pipeline`` pass and a one-point ``dse`` job over the socket, then
+re-submits each job and asserts the second response is
 a results-cache hit that is bit-identical to the cold one — the serving
 layer's core contract, exercised through the same process boundary users
 cross.  The served logits must equal the same model deployed in this
@@ -40,6 +41,10 @@ MODEL = {
 SWEEP = {"yields": [1.0, 0.8], "trials": 1, "epochs": 4, "n_samples": 120}
 # One grid point, one epoch: the whole write path in well under a second.
 TRAIN = {"lives": [8.0], "drift_nus": [0.01], "epochs": 1}
+# A small pipeline pass and a one-point DSE: the scheduler's per-pass and
+# per-step telemetry scopes, across the process boundary.
+PIPELINE = {"batch": 16}
+DSE = {"tile_counts": [4], "duplication_modes": ["none"]}
 
 READY_RE = re.compile(r"listening on ([\d.]+):(\d+)")
 
@@ -134,10 +139,16 @@ def main():
             if not cold["report"]["totals"]["energy"] > 0:
                 fail(f"parallel train report is empty: {cold['report']}")
             print(f"serve_smoke: train ok ({len(cold['result']['rows'])} rows)")
+            cold = cold_then_warm(client, "pipeline", PIPELINE)
+            if not cold["report"]["totals"]["energy"] > 0:
+                fail(f"pipeline report is empty: {cold['report']}")
+            print("serve_smoke: pipeline ok")
+            cold = cold_then_warm(client, "dse", DSE)
+            print(f"serve_smoke: dse ok ({len(cold['result']['rows'])} rows)")
 
             stats = client.request("stats")
             cache = stats["result"]["results_cache"]
-            if cache["request_hits"] < 2:
+            if cache["request_hits"] < 4:
                 fail(f"stats report no results-cache hits: {cache}")
             print(f"serve_smoke: PASS (results cache: {cache})")
     finally:

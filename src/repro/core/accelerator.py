@@ -11,15 +11,14 @@ substrate :mod:`repro.apps.nn` runs DNN layers on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.cim_core import CIMCore, CIMCoreParams
-from repro.core.metrics import CostAccumulator, OperationCost
 from repro.devices.variability import VariabilityStack
-from repro.utils.rng import RNGLike, ensure_rng, spawn_rngs
+from repro.utils.rng import RNGLike, spawn_rngs
 from repro.utils.telemetry import RunReport
 
 #: A 2-D ``(row_slice, col_slice)`` index.
@@ -169,36 +168,6 @@ class CIMAccelerator:
                 partial = self.tiles[bi][bj].vmm_batch(x_block, noisy=noisy)
                 y[:, c0 : c0 + p.tile_cols] += partial
         return y[:, :cols]
-
-    def total_costs(self) -> CostAccumulator:
-        """Aggregate cost accounting across all tiles.
-
-        Uses :meth:`~repro.core.metrics.CostAccumulator.merge` so the
-        aggregation never re-mirrors already-charged costs into the
-        telemetry layer.
-        """
-        acc = CostAccumulator()
-        for tile_row in self.tiles:
-            for core in tile_row:
-                acc.merge(core.costs)
-        return acc
-
-    def accumulated_latency(self) -> float:
-        """``total_costs().total.latency`` without building the merge.
-
-        Sums each tile's category latencies in grid order and, within a
-        tile, in sorted category order — the order
-        :meth:`~repro.core.metrics.CostAccumulator.merge` adds them — so
-        the result is bit-identical.  The pipeline scheduler reads it
-        around every micro-batch.
-        """
-        latency = 0.0
-        for tile_row in self.tiles:
-            for core in tile_row:
-                by_category = core.costs.by_category
-                for category in sorted(by_category):
-                    latency += by_category[category].latency
-        return latency
 
     def report(self, label: str = "cim_accelerator") -> RunReport:
         """Structured run report reduced over all tiles in grid order."""

@@ -28,7 +28,7 @@ import numpy as np
 # object and deferring attribute access to call time keeps both import
 # orders working.
 import repro.costs.models as energy_models
-from repro.core.metrics import CostAccumulator, OperationCost
+from repro.core.metrics import CostAccumulator
 from repro.crossbar.array import CrossbarArray, CrossbarConfig
 from repro.crossbar.mapping import DifferentialPairMapping, InputEncoder
 from repro.devices.reram import ConductanceLevels

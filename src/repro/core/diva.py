@@ -21,7 +21,6 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core.metrics import CostAccumulator, OperationCost
 from repro.utils.validation import check_positive
 
 

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict
+from dataclasses import dataclass
+from typing import Dict, List
 
 from repro.utils import telemetry
 from repro.utils.validation import check_non_negative
@@ -11,7 +11,8 @@ from repro.utils.validation import check_non_negative
 
 @dataclass
 class OperationCost:
-    """Cost of one primitive operation."""
+    """An energy/latency/data-movement triple: the type a
+    :class:`CostAccumulator` snapshot is read as."""
 
     energy: float = 0.0        # J
     latency: float = 0.0       # s
@@ -22,90 +23,87 @@ class OperationCost:
         check_non_negative("latency", self.latency)
         check_non_negative("data_moved", self.data_moved)
 
-    def __add__(self, other: "OperationCost") -> "OperationCost":
-        return OperationCost(
-            energy=self.energy + other.energy,
-            latency=self.latency + other.latency,
-            data_moved=self.data_moved + other.data_moved,
-        )
 
-    def scaled(self, factor: float) -> "OperationCost":
-        """Cost of ``factor`` repetitions."""
-        check_non_negative("factor", factor)
-        return OperationCost(
-            energy=self.energy * factor,
-            latency=self.latency * factor,
-            data_moved=self.data_moved * factor,
-        )
-
-
-@dataclass
 class CostAccumulator:
-    """Running totals with a per-category breakdown."""
+    """Running totals with a per-category breakdown.
 
-    total: OperationCost = field(default_factory=OperationCost)
-    by_category: Dict[str, OperationCost] = field(default_factory=dict)
+    Each charge is booked once, as plain floats, by :meth:`add`.
+    :attr:`total` and :attr:`by_category` are snapshots built on read, so
+    a value read earlier never changes when later charges arrive.
+    """
 
-    def add(self, category: str, cost: OperationCost) -> None:
-        """Accumulate ``cost`` under ``category``.
+    def __init__(self) -> None:
+        self._total: List[float] = [0.0, 0.0, 0.0]
+        self._by_category: Dict[str, List[float]] = {}
 
-        The stored entry is always a fresh :class:`OperationCost` — never
-        the caller's object — so mutating the argument afterwards cannot
-        corrupt the totals.  Every charge is also mirrored into the
-        current telemetry scope (:mod:`repro.utils.telemetry`), which is
-        how per-job run reports capture energy breakdowns for free.
+    def add(
+        self,
+        category: str,
+        energy: float = 0.0,
+        latency: float = 0.0,
+        data_moved: float = 0.0,
+    ) -> None:
+        """Book one charge under ``category``.
+
+        The three floats are checked for non-negativity once, then added
+        to the running total and to the category's sums.  Every charge is
+        also mirrored into the current telemetry scope
+        (:mod:`repro.utils.telemetry`), which is how per-job run reports
+        capture energy breakdowns for free.
         """
-        self.total = self.total + cost
-        # ``+`` constructs a new object, so the first add stores a copy too.
-        self.by_category[category] = (
-            self.by_category.get(category, OperationCost()) + cost
-        )
-        telemetry.current().charge(
-            category, cost.energy, cost.latency, cost.data_moved
-        )
+        if energy < 0 or latency < 0 or data_moved < 0:
+            check_non_negative("energy", energy)
+            check_non_negative("latency", latency)
+            check_non_negative("data_moved", data_moved)
+        total = self._total
+        total[0] += energy
+        total[1] += latency
+        total[2] += data_moved
+        entry = self._by_category.get(category)
+        if entry is None:
+            entry = self._by_category[category] = [0.0, 0.0, 0.0]
+        entry[0] += energy
+        entry[1] += latency
+        entry[2] += data_moved
+        telemetry.current().charge(category, energy, latency, data_moved)
 
-    def merge(self, other: "CostAccumulator") -> None:
-        """Fold another accumulator's breakdown into this one *without*
-        re-mirroring to telemetry (the charges were mirrored when first
-        accumulated — aggregation must not double-count them)."""
-        for category in sorted(other.by_category):
-            cost = other.by_category[category]
-            self.total = self.total + cost
-            self.by_category[category] = (
-                self.by_category.get(category, OperationCost()) + cost
-            )
+    @property
+    def total(self) -> OperationCost:
+        """Totals over every category, as of this read."""
+        return OperationCost(*self._total)
+
+    @property
+    def by_category(self) -> Dict[str, OperationCost]:
+        """Per-category totals (in first-charge order), as of this read."""
+        return {
+            name: OperationCost(*entry)
+            for name, entry in self._by_category.items()
+        }
 
     def as_dict(self) -> Dict[str, Dict[str, float]]:
         """Plain-dict breakdown (sorted) for reports/serialization."""
         return {
-            name: {
-                "energy": self.by_category[name].energy,
-                "latency": self.by_category[name].latency,
-                "data_moved": self.by_category[name].data_moved,
-            }
-            for name in sorted(self.by_category)
+            name: dict(
+                zip(("energy", "latency", "data_moved"), self._by_category[name])
+            )
+            for name in sorted(self._by_category)
         }
+
+    def _fraction(self, category: str, index: int) -> float:
+        total = self._total[index]
+        if total == 0:
+            return 0.0
+        entry = self._by_category.get(category)
+        return entry[index] / total if entry is not None else 0.0
 
     def energy_fraction(self, category: str) -> float:
         """Share of total energy attributed to ``category``."""
-        if self.total.energy == 0:
-            return 0.0
-        return self.by_category.get(category, OperationCost()).energy / self.total.energy
+        return self._fraction(category, 0)
 
     def latency_fraction(self, category: str) -> float:
         """Share of total latency attributed to ``category``."""
-        if self.total.latency == 0:
-            return 0.0
-        return (
-            self.by_category.get(category, OperationCost()).latency
-            / self.total.latency
-        )
+        return self._fraction(category, 1)
 
     def movement_fraction(self, category: str) -> float:
         """Share of total data movement attributed to ``category``."""
-        if self.total.data_moved == 0:
-            return 0.0
-        return (
-            self.by_category.get(category, OperationCost()).data_moved
-            / self.total.data_moved
-        )
+        return self._fraction(category, 2)

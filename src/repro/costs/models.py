@@ -16,10 +16,10 @@ Two pricing policies share one charging API:
   operand sparsity.  Every component is an exact per-element reduction
   (a handful of numpy sums per event), cheap enough for sweeps.
 
-Both models charge through :meth:`EnergyModel.charge`, which routes
-every :class:`~repro.core.metrics.OperationCost` into the caller's
-:class:`~repro.core.metrics.CostAccumulator` (and thus into the current
-telemetry scope), so RunReports conserve identically in either mode.
+Every ``charge_*`` method books its event once, as plain floats, with
+:meth:`CostAccumulator.add <repro.core.metrics.CostAccumulator.add>` on
+the caller's accumulator (which mirrors it into the current telemetry
+scope), so RunReports conserve identically in either mode.
 Latency and data-movement are data-independent in both models: value
 awareness re-prices *energy* only, keeping timing comparisons stable.
 
@@ -41,7 +41,7 @@ from typing import Any, Dict, Iterator, Optional, Union
 
 import numpy as np
 
-from repro.core.metrics import CostAccumulator, OperationCost
+from repro.core.metrics import CostAccumulator
 
 __all__ = [
     "CELL_AREA",
@@ -161,9 +161,10 @@ SpecLike = Union[str, Dict[str, Any], EnergyModelSpec]
 class EnergyModel:
     """Charging API every cost-bearing layer calls.
 
-    Each ``charge_*`` method prices one physical event and routes the
-    resulting :class:`OperationCost` through the caller's accumulator via
-    :meth:`charge` — the single funnel into telemetry.  The base class
+    Each ``charge_*`` method prices one physical event and books it with
+    one :meth:`~repro.core.metrics.CostAccumulator.add` on the caller's
+    accumulator, which validates it and mirrors it into telemetry.  The
+    charge methods return nothing.  The base class
     implements the **static** pricing (the historical constants);
     subclasses override the energy terms only.
     """
@@ -175,14 +176,6 @@ class EnergyModel:
     #: snapshots) can skip it when this is ``False``.
     needs_values = False
 
-    # ------------------------------------------------------------ the funnel
-    def charge(
-        self, costs: CostAccumulator, category: str, cost: OperationCost
-    ) -> OperationCost:
-        """Route one priced event into ``costs`` (and telemetry)."""
-        costs.add(category, cost)
-        return cost
-
     # -------------------------------------------------------------- pricing
     def charge_programming(
         self,
@@ -193,21 +186,16 @@ class EnergyModel:
         targets: Optional[np.ndarray] = None,
         g_min: Optional[float] = None,
         g_max: Optional[float] = None,
-    ) -> OperationCost:
+    ) -> None:
         """Write pulses onto ``n_cells`` cells, ``iterations`` rounds.
 
         ``targets`` (the programmed conductances) and the device's
         ``g_min``/``g_max`` enable state-dependent pricing.
         """
-        return self.charge(
-            costs,
+        costs.add(
             "programming",
-            OperationCost(
-                energy=self._programming_energy(
-                    n_cells, iterations, targets, g_min, g_max
-                ),
-                latency=WRITE_PULSE_TIME * iterations,
-            ),
+            self._programming_energy(n_cells, iterations, targets, g_min, g_max),
+            WRITE_PULSE_TIME * iterations,
         )
 
     def charge_dac(
@@ -219,19 +207,16 @@ class EnergyModel:
         batch: int,
         voltages: Optional[np.ndarray] = None,
         v_ref: Optional[float] = None,
-    ) -> OperationCost:
+    ) -> None:
         """One conversion per wordline per batch vector.
 
         ``voltages`` is the driven wordline matrix and ``v_ref`` its full
         scale; value-aware pricing keys on the update magnitudes.
         """
-        return self.charge(
-            costs,
+        costs.add(
             "dac",
-            OperationCost(
-                energy=self._dac_energy(dac, rows, batch, voltages, v_ref),
-                latency=dac.latency * batch,
-            ),
+            self._dac_energy(dac, rows, batch, voltages, v_ref),
+            dac.latency * batch,
         )
 
     def charge_array(
@@ -243,20 +228,15 @@ class EnergyModel:
         batch: int = 1,
         column_volts: Optional[np.ndarray] = None,
         v_fs: Optional[float] = None,
-    ) -> OperationCost:
+    ) -> None:
         """Analog evaluation: the array dissipates ``settle_power`` (the
         actual ``V^2 G`` read power, already data-dependent) for one
         settle window; ``column_volts`` (resolved column swings, full
         scale ``v_fs``) enables the value-aware bitline-charging term."""
-        return self.charge(
-            costs,
+        costs.add(
             "array",
-            OperationCost(
-                energy=self._array_energy(
-                    settle_power, settle_time, column_volts, v_fs
-                ),
-                latency=settle_time * batch,
-            ),
+            self._array_energy(settle_power, settle_time, column_volts, v_fs),
+            settle_time * batch,
         )
 
     def charge_adc(
@@ -267,16 +247,13 @@ class EnergyModel:
         n_cols: int,
         batch: int,
         codes: Optional[np.ndarray] = None,
-    ) -> OperationCost:
+    ) -> None:
         """One conversion per physical column per batch vector; ``codes``
         (the resolved output codes) enable SAR code-dependent pricing."""
-        return self.charge(
-            costs,
+        costs.add(
             "adc",
-            OperationCost(
-                energy=self._adc_energy(adc, n_cols, batch, codes),
-                latency=adc.latency * batch,
-            ),
+            self._adc_energy(adc, n_cols, batch, codes),
+            adc.latency * batch,
         )
 
     def charge_driver(
@@ -288,47 +265,34 @@ class EnergyModel:
         batch: int = 1,
         voltages: Optional[np.ndarray] = None,
         v_ref: Optional[float] = None,
-    ) -> OperationCost:
+    ) -> None:
         """``activations`` driven-wordline events across ``batch``
         vectors; ``voltages`` enables magnitude-dependent pricing."""
-        return self.charge(
-            costs,
+        costs.add(
             "driver",
-            OperationCost(
-                energy=self._driver_energy(
-                    config, activations, voltages, v_ref
-                ),
-                latency=config.latency * batch,
-            ),
+            self._driver_energy(config, activations, voltages, v_ref),
+            config.latency * batch,
         )
 
     def charge_sense(
         self, costs: CostAccumulator, config, *, n_senses: int, repeats: int = 1
-    ) -> OperationCost:
+    ) -> None:
         """``n_senses`` sense-amplifier compares over ``repeats``
         sequential latency windows (one by default — the historical
         single-access behaviour; the ECC advisor prices a whole read
         workload as ``repeats`` codeword accesses in one charge)."""
-        return self.charge(
-            costs,
+        costs.add(
             "sense_amp",
-            OperationCost(
-                energy=config.energy_per_sense * n_senses,
-                latency=config.latency * repeats,
-            ),
+            config.energy_per_sense * n_senses,
+            config.latency * repeats,
         )
 
     def charge_decoder(
         self, costs: CostAccumulator, config, *, n_rows: int
-    ) -> OperationCost:
+    ) -> None:
         """Row-decoder activation of ``n_rows`` wordlines."""
-        return self.charge(
-            costs,
-            "decoder",
-            OperationCost(
-                energy=config.energy_per_activation * n_rows,
-                latency=config.latency,
-            ),
+        costs.add(
+            "decoder", config.energy_per_activation * n_rows, config.latency
         )
 
     def charge_movement(
@@ -338,33 +302,25 @@ class EnergyModel:
         *,
         n_bytes: float,
         values: Optional[np.ndarray] = None,
-    ) -> OperationCost:
+    ) -> None:
         """Memory-bus transfer of ``n_bytes`` (von Neumann machines);
         ``values`` enables sparsity-dependent wire pricing."""
-        return self.charge(
-            costs,
+        costs.add(
             "data_movement",
-            OperationCost(
-                energy=self._wire_energy(
-                    n_bytes * 8 * params.bus_energy_per_bit, values
-                ),
-                latency=n_bytes / params.bus_bandwidth,
-                data_moved=n_bytes,
-            ),
+            self._wire_energy(n_bytes * 8 * params.bus_energy_per_bit, values),
+            n_bytes / params.bus_bandwidth,
+            n_bytes,
         )
 
     def charge_compute(
         self, costs: CostAccumulator, params, *, macs: int
-    ) -> OperationCost:
+    ) -> None:
         """ALU multiply-accumulate work (data-independent in both
         models: digital MAC energy varies far less than wires/ADCs)."""
-        return self.charge(
-            costs,
+        costs.add(
             "compute",
-            OperationCost(
-                energy=macs * params.mac_energy,
-                latency=(macs / params.alu_parallelism) * params.mac_latency,
-            ),
+            macs * params.mac_energy,
+            (macs / params.alu_parallelism) * params.mac_latency,
         )
 
     def charge_transfer(
@@ -375,19 +331,14 @@ class EnergyModel:
         payload: float,
         latency: float,
         values: Optional[np.ndarray] = None,
-    ) -> OperationCost:
+    ) -> None:
         """Inter-tile link transfer of ``payload`` bytes (latency is
         computed by the link model and passed through unchanged)."""
-        return self.charge(
-            costs,
+        costs.add(
             "interconnect",
-            OperationCost(
-                energy=self._wire_energy(
-                    payload * params.energy_per_byte, values
-                ),
-                latency=latency,
-                data_moved=payload,
-            ),
+            self._wire_energy(payload * params.energy_per_byte, values),
+            latency,
+            payload,
         )
 
     # ----------------------------------------------- static energy terms

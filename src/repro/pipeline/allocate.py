@@ -32,7 +32,6 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.core.accelerator import AcceleratorParams, CIMAccelerator
-from repro.core.metrics import CostAccumulator
 from repro.pipeline.ir import LayerGraph, LayerNode, _apply_activation
 from repro.utils.rng import RNGLike, spawn_rngs
 
@@ -201,10 +200,6 @@ class StageAllocation:
             out[b] = _apply_activation(z, node.activation).reshape(-1)
         return out
 
-    def latency_accumulated(self) -> float:
-        """Total latency charged across this stage's replicas so far (s)."""
-        return sum(accel.accumulated_latency() for accel in self.replicas)
-
 
 @dataclass
 class Allocation:
@@ -227,14 +222,6 @@ class Allocation:
     def replica_counts(self) -> List[int]:
         """Per-stage replica counts, in stage order."""
         return [stage.n_replicas for stage in self.stages]
-
-    def total_costs(self) -> CostAccumulator:
-        """Merged cost accounting over every tile of every replica."""
-        acc = CostAccumulator()
-        for stage in self.stages:
-            for accel in stage.replicas:
-                acc.merge(accel.total_costs())
-        return acc
 
     def area_breakdown(self) -> Dict[str, float]:
         """Per-component area (mm^2) summed over all allocated tiles."""

@@ -439,12 +439,10 @@ def run_trials(
     else:
         chunk = _chunk_bounds(n_trials, workers, chunk_size)
         pairs = _run_pooled(task, n_trials, root, workers, chunk, task_args)
-    folded: Dict[str, float] = {}
+    folded = telemetry.Telemetry()
     for _, counters in pairs:
-        telemetry._merge_numeric(folded, counters)
-    scope = telemetry.current()
-    for name in sorted(folded):
-        scope.incr(name, folded[name])
+        folded.add_counters(counters)
+    telemetry.current().add_counters(folded.counters)
     return [result for result, _ in pairs]
 
 

@@ -13,7 +13,9 @@ total.  This module is the one place that observability lives:
   The parallel sweep engine runs every job in its own scope and folds
   the per-job counters, in flat job order, into the caller's scope, so a
   caller captures a whole sweep — bit-identically at any worker count —
-  by wrapping it in :func:`scoped`.
+  by wrapping it in :func:`scoped`.  :meth:`Telemetry.add_counters` is
+  that one fold; the pipeline scheduler uses it for its pass and step
+  scopes too.
 * Cost mirroring — :meth:`repro.core.metrics.CostAccumulator.add` mirrors
   every charge into the current telemetry under ``cost.energy.<category>``
   (and latency / data-movement twins), so any scoped job automatically
@@ -31,8 +33,8 @@ operation, never per element), keeping overhead on the hot batched VMM
 path well under the 5% budget gated by
 ``benchmarks/test_bench_telemetry.py``.  :func:`disabled` swaps in a
 :class:`NullTelemetry` for codepaths that want zero accounting (sweep
-jobs still record into their own scopes; only the folded sum is
-dropped).
+jobs and pipeline passes still record into their own scopes; only the
+folded sum is dropped).
 """
 
 from __future__ import annotations
@@ -91,6 +93,13 @@ class Telemetry:
     def incr(self, name: str, value: float = 1.0) -> None:
         """Add ``value`` to counter ``name`` (created at 0 on first use)."""
         self.counters[name] = self.counters.get(name, 0.0) + value
+
+    def add_counters(self, counters: Dict[str, float]) -> None:
+        """Add every counter of ``counters``, in sorted key order — the
+        one fold of a nested scope into its parent, so folding the same
+        scopes in the same order always gives bit-identical totals."""
+        for name in sorted(counters):
+            self.incr(name, counters[name])
 
     def count(self, name: str) -> float:
         """Current value of counter ``name`` (0 if never incremented)."""

@@ -180,6 +180,6 @@ class TestFaultInjection:
         w = rng.uniform(-1, 1, (100, 50))
         accel = CIMAccelerator(w, rng=8)
         accel.vmm(rng.uniform(0, 1, 100), noisy=False)
-        costs = accel.total_costs()
-        assert costs.total.energy > 0
-        assert "adc" in costs.by_category
+        report = accel.report()
+        assert report.total_energy > 0
+        assert "adc" in report.categories

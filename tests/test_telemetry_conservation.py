@@ -12,7 +12,10 @@ import pytest
 
 from repro.core.accelerator import AcceleratorParams, CIMAccelerator
 from repro.core.cim_core import CIMCore, CIMCoreParams
+from repro.core.metrics import OperationCost
 from repro.core.vonneumann import VonNeumannMachine
+from repro.utils import telemetry
+from repro.utils.telemetry import RunReport
 
 
 def _assert_conserved(report, costs_total):
@@ -80,15 +83,26 @@ class TestVonNeumannConservation:
 
 class TestAcceleratorConservation:
     def test_reduced_report_matches_total_costs(self):
+        """The report reduced over the tiles' accumulators conserves
+        against every charge the telemetry scope saw."""
         gen = np.random.default_rng(0)
-        accel = CIMAccelerator(
-            gen.uniform(-1, 1, (40, 20)),
-            params=AcceleratorParams(tile_rows=16, tile_cols=8),
-            rng=0,
-        )
-        accel.vmm_batch(gen.uniform(0, 1, (3, 40)), noisy=False)
+        with telemetry.scoped() as scope:
+            accel = CIMAccelerator(
+                gen.uniform(-1, 1, (40, 20)),
+                params=AcceleratorParams(tile_rows=16, tile_cols=8),
+                rng=0,
+            )
+            accel.vmm_batch(gen.uniform(0, 1, (3, 40)), noisy=False)
+        charged = RunReport.from_counters(scope.counters)
         report = accel.report()
-        _assert_conserved(report, accel.total_costs().total)
+        _assert_conserved(
+            report,
+            OperationCost(
+                charged.total_energy,
+                charged.total_latency,
+                charged.total_data_moved,
+            ),
+        )
 
     def test_report_is_sum_of_tile_reports(self):
         gen = np.random.default_rng(2)

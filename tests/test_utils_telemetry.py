@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.core.metrics import CostAccumulator, OperationCost
+from repro.core.metrics import CostAccumulator
 from repro.utils import telemetry
 from repro.utils.telemetry import (
     COST_PREFIXES,
@@ -105,7 +105,7 @@ class TestScoping:
     def test_cost_accumulator_mirrors_into_scope(self):
         with telemetry.scoped() as scope:
             acc = CostAccumulator()
-            acc.add("adc", OperationCost(energy=2.0, latency=1.0))
+            acc.add("adc", energy=2.0, latency=1.0)
         assert scope.count("cost.energy.adc") == 2.0
         assert scope.count("cost.latency.adc") == 1.0
 
@@ -266,7 +266,7 @@ class TestRunReport:
     def test_from_cost_accumulator(self):
         with telemetry.scoped():
             acc = CostAccumulator()
-            acc.add("adc", OperationCost(energy=5.0))
+            acc.add("adc", energy=5.0)
         r = RunReport.from_cost_accumulator(acc, label="acc")
         assert r.categories["adc"]["energy"] == 5.0
 
