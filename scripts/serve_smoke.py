@@ -8,8 +8,8 @@ re-submits each job and asserts the second response is
 a results-cache hit that is bit-identical to the cold one — the serving
 layer's core contract, exercised through the same process boundary users
 cross.  The served logits must equal the same model deployed in this
-process, and an input containing NaN must be a ``bad_request`` that
-leaves the server answering.  The ``train`` job covers the device write
+process.  An input containing NaN and a sweep at yield 1.5 must each be
+a ``bad_request`` that leaves the server answering.  The ``train`` job covers the device write
 path (write-verify, endurance wear, programming energy).  Its cold run fans out over two
 sweep workers and its warm run asks for none, so the hit also proves the
 parallel path returns the full, non-empty report a serial run would.
@@ -133,6 +133,12 @@ def main():
                 fail(f"infer after a NaN request failed: {again.get('error')}")
             print("serve_smoke: NaN infer is a bad_request, server serves on")
 
+            bad = client.request("sweep", {"yields": [1.5]})
+            code = (bad.get("error") or {}).get("code")
+            if bad.get("ok") or code != "bad_request":
+                fail(f"sweep at yield 1.5 must be a bad_request, got {bad}")
+            print("serve_smoke: out-of-range yield is a bad_request")
+            # The sweep below is then served as usual.
             cold = cold_then_warm(client, "sweep", SWEEP)
             print(f"serve_smoke: sweep ok ({len(cold['result'])} rows)")
             cold = cold_then_warm(client, "train", TRAIN, workers=2)

@@ -5,6 +5,8 @@
 * :mod:`repro.apps.nn` — neuromorphic computing: a pure-NumPy MLP trained
   in software and deployed onto :class:`repro.core.accelerator.CIMAccelerator`
   for inference, with the accuracy-vs-yield fault experiment of [38];
+* :mod:`repro.apps.cnn` — a pure-NumPy CNN, deployed by the same
+  deployed-network class and swept by the same yield experiment;
 * :mod:`repro.apps.bnn` — binary neural networks on the FeRFET
   XNOR-popcount engine (Section V-D);
 * :mod:`repro.apps.sparse_coding` — ISTA sparse coding with the dictionary

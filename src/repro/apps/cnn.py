@@ -13,7 +13,11 @@ side of the story:
   the convolution lowered to matrix multiplication by im2col (each image
   patch becomes one wordline-voltage vector; the kernel bank is the
   stationary conductance matrix — the weight-stationary dataflow every
-  crossbar CNN accelerator uses).
+  crossbar CNN accelerator uses).  It is a
+  :class:`~repro.apps.nn.CrossbarMLP` that traces a CNN: inference, fault
+  injection and fault introspection are the one deployed-network code;
+* :func:`cnn_accuracy_vs_yield` — the [38] accuracy-vs-yield sweep on the
+  CNN, through the same sweep body as the MLP's.
 """
 
 from __future__ import annotations
@@ -22,11 +26,11 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.apps.nn import CrossbarMLP, _yield_sweep
 from repro.core.accelerator import AcceleratorParams
 from repro.pipeline.allocate import deploy
 from repro.pipeline.ir import trace_cnn
-from repro.utils.parallel import run_grid, seed_sequence_from
-from repro.utils.rng import RNGLike, ensure_rng, spawn_rngs
+from repro.utils.rng import RNGLike, ensure_rng
 from repro.utils.validation import check_positive
 
 
@@ -189,15 +193,14 @@ class SimpleCNN:
         self.conv_b -= lr * grad_conv_b
 
 
-class CrossbarCNN:
+class CrossbarCNN(CrossbarMLP):
     """The trained CNN deployed on CIM tiles (conv and dense layers).
 
-    Like :class:`~repro.apps.nn.CrossbarMLP`, this is a traced graph
-    (:func:`~repro.pipeline.ir.trace_cnn`) put on tiles by
-    :func:`~repro.pipeline.allocate.deploy` and run through the pipeline's
-    stage code: the conv stage takes image pixels as they are
-    (``input_scale`` 1), the dense stage's input scale is calibrated on
-    the post-conv activations.
+    Only the trace differs from :class:`~repro.apps.nn.CrossbarMLP`,
+    whose inference, fault-injection and introspection methods this
+    class inherits: :func:`~repro.pipeline.ir.trace_cnn` gives the conv
+    stage the image pixels as they are (``input_scale`` 1) and calibrates
+    the dense stage's input scale on the post-conv activations.
     """
 
     def __init__(
@@ -208,73 +211,7 @@ class CrossbarCNN:
         rng: RNGLike = None,
     ) -> None:
         self.cnn = cnn
-        graph = trace_cnn(cnn, calibration)
-        self.stages = deploy(graph, accel_params, rng=rng)
-
-    def forward_one(self, image: np.ndarray, noisy: bool = False) -> np.ndarray:
-        """Logits for one image, every MAC on the crossbars."""
-        image = np.asarray(image, dtype=float)
-        return self.forward_batch(image[None], noisy=noisy)[0]
-
-    def forward_batch(self, images: np.ndarray, noisy: bool = False) -> np.ndarray:
-        """Logits for a batch of images ``(n, H, W)``.
-
-        All patches of all images share the stationary kernel bank, so
-        the entire ``n * n_patches`` patch set runs as one multi-RHS pass
-        over the conv tiles, and the dense layer sees the whole batch in
-        one pass — IR-drop-aware tiles factorize their nodal system once
-        per layer per batch instead of once per image.
-        """
-        h = np.asarray(images, dtype=float)
-        if h.ndim != 3:
-            raise ValueError(f"images must be (batch, H, W), got {h.shape}")
-        for stage in self.stages:
-            h = stage.apply(h, noisy=noisy)
-        return h
-
-    def predict(self, images: np.ndarray, noisy: bool = False) -> np.ndarray:
-        """Labels for a batch (whole batch through the tiles at once)."""
-        images = np.asarray(images, dtype=float)
-        return np.argmax(self.forward_batch(images, noisy=noisy), axis=-1).astype(
-            int
-        )
-
-    def accuracy(
-        self, images: np.ndarray, labels: np.ndarray, noisy: bool = False
-    ) -> float:
-        """Classification accuracy of the deployed CNN."""
-        return float(
-            np.mean(self.predict(images, noisy) == np.asarray(labels))
-        )
-
-    def inject_yield_faults(self, cell_yield: float, rng: RNGLike = None) -> float:
-        """SA0 fault populations on both layers; returns realized rate."""
-        conv, dense = (
-            stage.replicas[0].inject_yield_faults(cell_yield, rng=gen)
-            for stage, gen in zip(self.stages, spawn_rngs(rng, 2))
-        )
-        return float((conv + dense) / 2)
-
-
-def _cnn_yield_trial(
-    cell_yield: float,
-    trial: int,
-    rng: np.random.Generator,
-    cnn: SimpleCNN,
-    x_train: np.ndarray,
-    x_test: np.ndarray,
-    y_test: np.ndarray,
-) -> dict:
-    """One (yield, trial) job for the CNN sweep (picklable, module-level)."""
-    deploy_rng, fault_rng = spawn_rngs(rng, 2)
-    deployed = CrossbarCNN(cnn, calibration=x_train, rng=deploy_rng)
-    rate = 0.0
-    if cell_yield < 1.0:
-        rate = deployed.inject_yield_faults(cell_yield, rng=fault_rng)
-    return {
-        "accuracy": deployed.accuracy(x_test, y_test, noisy=False),
-        "fault_rate": rate,
-    }
+        self.stages = deploy(trace_cnn(cnn, calibration), accel_params, rng=rng)
 
 
 def cnn_accuracy_vs_yield(
@@ -287,7 +224,7 @@ def cnn_accuracy_vs_yield(
     workers=None,
 ):
     """Accuracy-vs-yield for the crossbar CNN — the convolutional twin of
-    :func:`repro.apps.nn.accuracy_vs_yield`.
+    :func:`repro.apps.nn.accuracy_vs_yield`, on the same sweep body.
 
     Trains :class:`SimpleCNN` once (serial), then fans the
     ``trials x len(yields)`` deployment grid out over the sweep engine;
@@ -295,42 +232,12 @@ def cnn_accuracy_vs_yield(
     Rows are bit-identical for a given ``rng`` at any worker count, and
     so is the telemetry the sweep adds to the caller's scope.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    gen = ensure_rng(rng)
-    x, y = synthetic_images(n_samples=n_samples, size=image_size, rng=gen)
-    split = int(0.7 * n_samples)
-    x_train, y_train = x[:split], y[:split]
-    x_test, y_test = x[split:], y[split:]
-    cnn = SimpleCNN(image_size=image_size, rng=gen)
-    cnn.train(x_train, y_train, epochs=epochs, rng=gen)
 
-    root = seed_sequence_from(gen)
-    clean_seq, grid_seq = root.spawn(2)
-    clean = CrossbarCNN(
-        cnn, calibration=x_train, rng=np.random.default_rng(clean_seq)
-    )
-    clean_acc = clean.accuracy(x_test, y_test, noisy=False)
+    def train(gen: np.random.Generator):
+        x, y = synthetic_images(n_samples=n_samples, size=image_size, rng=gen)
+        split = int(0.7 * n_samples)
+        cnn = SimpleCNN(image_size=image_size, rng=gen)
+        cnn.train(x[:split], y[:split], epochs=epochs, rng=gen)
+        return cnn, x[:split], x[split:], y[split:]
 
-    per_point = run_grid(
-        _cnn_yield_trial,
-        list(yields),
-        trials=trials,
-        seed=grid_seq,
-        workers=workers,
-        task_args=(cnn, x_train, x_test, y_test),
-    )
-    rows = []
-    for cell_yield, trial_rows in zip(yields, per_point):
-        acc = float(np.mean([t["accuracy"] for t in trial_rows]))
-        rate = float(np.mean([t["fault_rate"] for t in trial_rows]))
-        rows.append(
-            {
-                "yield": cell_yield,
-                "fault_rate": rate,
-                "accuracy": acc,
-                "clean_accuracy": clean_acc,
-                "drop": clean_acc - acc,
-            }
-        )
-    return rows
+    return _yield_sweep(CrossbarCNN, train, yields, trials, rng, workers)

@@ -7,11 +7,15 @@ as analog VMMs.  :func:`accuracy_vs_yield`
 reproduces the [38] experiment the paper quotes — "classification accuracy
 ... with random stuck-at-0 faults is reduced by 35% when the yield drops
 to 80%" — on the synthetic substitute dataset.
+
+:class:`CrossbarMLP` is the one deployed-network class and
+:func:`_yield_sweep` the one accuracy-vs-yield sweep body;
+:mod:`repro.apps.cnn` reuses both for the CNN.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -21,7 +25,7 @@ from repro.pipeline.allocate import deploy
 from repro.pipeline.ir import trace_mlp
 from repro.utils.parallel import run_grid, seed_sequence_from
 from repro.utils.rng import RNGLike, ensure_rng, spawn_rngs
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_positive, check_probability
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -127,7 +131,7 @@ class MLP:
 
 
 class CrossbarMLP:
-    """MLP inference engine running every layer on CIM tiles.
+    """A trained network running every layer on CIM tiles.
 
     The network is a traced layer graph
     (:func:`~repro.pipeline.ir.trace_mlp`: per-layer ``input_scale`` from
@@ -138,6 +142,10 @@ class CrossbarMLP:
     rescaled to ``[0, 1]`` before encoding.  The fault-injection hook
     perturbs every tile, after which accuracy can be re-measured — the
     accuracy-vs-yield experiment.
+
+    This is the one deployed-network class: every method below works on
+    any deployed graph, and :class:`~repro.apps.cnn.CrossbarCNN` only
+    traces a CNN instead.
     """
 
     def __init__(
@@ -151,31 +159,36 @@ class CrossbarMLP:
         graph = trace_mlp(mlp, calibration)
         self.stages = deploy(graph, accel_params, rng=rng)
 
-    def forward_one(self, x: np.ndarray, noisy: bool = True) -> np.ndarray:
+    def forward_one(self, x: np.ndarray, noisy: bool = False) -> np.ndarray:
         """Logits for one sample, all VMMs on the crossbars."""
         return self.forward_batch(np.asarray(x, dtype=float)[None], noisy=noisy)[0]
 
-    def forward_batch(self, x: np.ndarray, noisy: bool = True) -> np.ndarray:
-        """Logits for a batch ``(n, features)``, all VMMs on the crossbars.
+    def forward_batch(self, x: np.ndarray, noisy: bool = False) -> np.ndarray:
+        """Logits for a batch — ``(n, features)``, or ``(n, H, W)``
+        images when the first layer is a convolution — all VMMs on the
+        crossbars.
 
         The whole batch flows through each layer's stage
         (:meth:`~repro.pipeline.allocate.StageAllocation.apply`) in one
-        pass, so IR-drop-aware tiles factorize their nodal system once per
-        layer per batch instead of once per sample.
+        pass (a conv stage runs all patches of all images as one
+        multi-RHS pass), so IR-drop-aware tiles factorize their nodal
+        system once per layer per batch instead of once per sample.
         """
         h = np.asarray(x, dtype=float)
-        if h.ndim != 2:
+        if self.stages[0].node.kind == "conv2d":
+            if h.ndim != 3:
+                raise ValueError(f"x must be (batch, H, W), got {h.shape}")
+        elif h.ndim != 2:
             raise ValueError(f"x must be (batch, features), got {h.shape}")
         for stage in self.stages:
             h = stage.apply(h, noisy=noisy)
         return h
 
-    def predict(self, x: np.ndarray, noisy: bool = True) -> np.ndarray:
+    def predict(self, x: np.ndarray, noisy: bool = False) -> np.ndarray:
         """Labels for a batch (batched analog inference)."""
-        x = np.asarray(x, dtype=float)
         return np.argmax(self.forward_batch(x, noisy=noisy), axis=-1).astype(int)
 
-    def accuracy(self, x: np.ndarray, y: np.ndarray, noisy: bool = True) -> float:
+    def accuracy(self, x: np.ndarray, y: np.ndarray, noisy: bool = False) -> float:
         """Classification accuracy of the deployed network."""
         return float(np.mean(self.predict(x, noisy=noisy) == np.asarray(y)))
 
@@ -242,46 +255,79 @@ class CrossbarMLP:
             stage.replicas[0].program_weights(np.clip(scaled, -1.0, 1.0))
 
 
-def _rebuild_mlp(
-    layer_sizes: Sequence[int],
-    weights: Sequence[np.ndarray],
-    biases: Sequence[np.ndarray],
-) -> MLP:
-    """Reassemble a trained MLP from its arrays without re-running
-    ``__init__`` (no training, no RNG).  The sweep ships the model this
-    way so the weight/bias arrays ride in the engine's shared-memory pack
-    instead of being pickled into every worker."""
-    mlp = MLP.__new__(MLP)
-    mlp.layer_sizes = list(layer_sizes)
-    mlp.weights = list(weights)
-    mlp.biases = list(biases)
-    return mlp
-
-
 def _yield_trial(
     cell_yield: float,
     trial: int,
     rng: np.random.Generator,
-    layer_sizes: Tuple[int, ...],
-    weights: Tuple[np.ndarray, ...],
-    biases: Tuple[np.ndarray, ...],
+    network: type,
+    model,
     x_train: np.ndarray,
     x_test: np.ndarray,
     y_test: np.ndarray,
 ) -> Dict[str, float]:
-    """One (yield, trial) job: fresh deployment, fault population,
-    accuracy.  Module-level so the sweep engine's process backend can
-    pickle it; model state arrives as arrays (see :func:`_rebuild_mlp`)."""
-    mlp = _rebuild_mlp(layer_sizes, weights, biases)
+    """One (yield, trial) job: fresh deployment of ``model`` as a
+    ``network``, fault population, accuracy.  Module-level so the sweep
+    engine's process backend can pickle it."""
     deploy_rng, fault_rng = spawn_rngs(rng, 2)
-    deployed = CrossbarMLP(mlp, calibration=x_train, rng=deploy_rng)
+    deployed = network(model, calibration=x_train, rng=deploy_rng)
     rate = 0.0
     if cell_yield < 1.0:
         rate = deployed.inject_yield_faults(cell_yield, rng=fault_rng)
     return {
-        "accuracy": deployed.accuracy(x_test, y_test, noisy=False),
+        "accuracy": deployed.accuracy(x_test, y_test),
         "fault_rate": rate,
     }
+
+
+def _yield_sweep(
+    network: type,
+    train: Callable[[np.random.Generator], tuple],
+    yields: Sequence[float],
+    trials: int,
+    rng: RNGLike,
+    workers: Optional[int],
+) -> List[Dict[str, float]]:
+    """The accuracy-vs-yield sweep body both networks share.
+
+    Checks the grid, then ``train(gen)`` generates the data and trains the
+    model serially, returning ``(model, x_train, x_test, y_test)``.  A
+    clean ``network`` deployment gives the reference accuracy, and the
+    ``trials x len(yields)`` grid of faulty deployments fans out over the
+    sweep engine (:func:`repro.utils.parallel.run_grid`), all off one root
+    sequence so the rows are a pure function of ``rng``.
+    """
+    yields = [check_probability("yield", y) for y in yields]
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    gen = ensure_rng(rng)
+    model, x_train, x_test, y_test = train(gen)
+    root = seed_sequence_from(gen)
+    clean_seq, grid_seq = root.spawn(2)
+    clean = network(model, calibration=x_train, rng=np.random.default_rng(clean_seq))
+    clean_acc = clean.accuracy(x_test, y_test)
+
+    per_point = run_grid(
+        _yield_trial,
+        yields,
+        trials=trials,
+        seed=grid_seq,
+        workers=workers,
+        task_args=(network, model, x_train, x_test, y_test),
+    )
+    rows: List[Dict[str, float]] = []
+    for cell_yield, trial_rows in zip(yields, per_point):
+        acc = float(np.mean([t["accuracy"] for t in trial_rows]))
+        rate = float(np.mean([t["fault_rate"] for t in trial_rows]))
+        rows.append(
+            {
+                "yield": cell_yield,
+                "fault_rate": rate,
+                "accuracy": acc,
+                "clean_accuracy": clean_acc,
+                "drop": clean_acc - acc,
+            }
+        )
+    return rows
 
 
 def accuracy_vs_yield(
@@ -311,58 +357,21 @@ def accuracy_vs_yield(
     (:func:`repro.utils.parallel.run_grid`).  Each grid job gets its own
     spawned stream, so the rows are bit-identical for a given ``rng`` at
     any ``workers`` count (``0`` = serial, ``None`` = ``REPRO_WORKERS``).
+    Every yield must lie in ``[0, 1]`` and ``trials`` be at least 1; both
+    are checked before any data is generated.
     """
-    gen = ensure_rng(rng)
-    x, y = gaussian_blobs(
-        n_samples=n_samples,
-        n_features=n_features,
-        n_classes=n_classes,
-        separation=separation,
-        rng=gen,
-    )
-    split = int(0.7 * n_samples)
-    x_train, y_train = x[:split], y[:split]
-    x_test, y_test = x[split:], y[split:]
-    mlp = MLP([n_features, hidden, n_classes], rng=gen)
-    mlp.train(x_train, y_train, epochs=epochs, rng=gen)
 
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    # Clean reference deployment, then the sweep grid, all off one root
-    # sequence so the whole experiment is a pure function of ``rng``.
-    root = seed_sequence_from(gen)
-    clean_seq, grid_seq = root.spawn(2)
-    clean = CrossbarMLP(
-        mlp, calibration=x_train, rng=np.random.default_rng(clean_seq)
-    )
-    clean_acc = clean.accuracy(x_test, y_test, noisy=False)
-
-    per_point = run_grid(
-        _yield_trial,
-        list(yields),
-        trials=trials,
-        seed=grid_seq,
-        workers=workers,
-        task_args=(
-            tuple(mlp.layer_sizes),
-            tuple(mlp.weights),
-            tuple(mlp.biases),
-            x_train,
-            x_test,
-            y_test,
-        ),
-    )
-    rows: List[Dict[str, float]] = []
-    for cell_yield, trial_rows in zip(yields, per_point):
-        acc = float(np.mean([t["accuracy"] for t in trial_rows]))
-        rate = float(np.mean([t["fault_rate"] for t in trial_rows]))
-        rows.append(
-            {
-                "yield": cell_yield,
-                "fault_rate": rate,
-                "accuracy": acc,
-                "clean_accuracy": clean_acc,
-                "drop": clean_acc - acc,
-            }
+    def train(gen: np.random.Generator):
+        x, y = gaussian_blobs(
+            n_samples=n_samples,
+            n_features=n_features,
+            n_classes=n_classes,
+            separation=separation,
+            rng=gen,
         )
-    return rows
+        split = int(0.7 * n_samples)
+        mlp = MLP([n_features, hidden, n_classes], rng=gen)
+        mlp.train(x[:split], y[:split], epochs=epochs, rng=gen)
+        return mlp, x[:split], x[split:], y[split:]
+
+    return _yield_sweep(CrossbarMLP, train, yields, trials, rng, workers)

@@ -154,45 +154,28 @@ def cmd_eda(args) -> int:
     return 0
 
 
-def _pipeline_run_report(args, verbose: bool = True):
-    from repro.pipeline import (
-        PipelineScheduler,
-        ScheduleParams,
-        TileInventory,
-        allocate,
-        reference_graph,
-    )
-
-    import numpy as np
-
-    graph = reference_graph()
-    alloc = allocate(
-        graph,
-        TileInventory(n_tiles=16),
-        duplication="auto",
-        rng=args.seed,
-    )
-    x = np.random.default_rng(args.seed + 1).uniform(
-        0.0, 1.0, size=(args.batch, graph.in_features)
-    )
-    sched = PipelineScheduler(alloc, ScheduleParams(micro_batch=8))
-    result = sched.run(x, mode="pipelined")
-    if verbose:
-        _print_table(
-            "Pipeline stage utilization (pipelined run)", result.stage_table()
-        )
-    return result.report("pipeline_report")
-
-
 def _instrumented_report(args, energy_model: str, verbose: bool = True):
-    """One instrumented run, charges priced under ``energy_model``."""
+    """One instrumented run, charges priced under ``energy_model``: the
+    served ``pipeline`` job on the reference MLP, or the Fig-5 run.
+    Returns ``None`` after printing why the run was rejected."""
+    if args.source == "pipeline":
+        result, report = _run_job(
+            "pipeline",
+            args,
+            workload="mlp",
+            batch=args.batch,
+            energy_model=energy_model,
+        )
+        if result is not None and verbose:
+            _print_table(
+                "Pipeline stage utilization (pipelined run)",
+                result["stage_table"],
+            )
+        return report
     from repro.costs import use_model
+    from repro.periphery.area_power import fig5_instrumented_report
 
     with use_model(energy_model):
-        if args.source == "pipeline":
-            return _pipeline_run_report(args, verbose=verbose)
-        from repro.periphery.area_power import fig5_instrumented_report
-
         return fig5_instrumented_report(
             batch=args.batch, adc_bits=args.adc_bits, rng=args.seed
         )
@@ -200,6 +183,8 @@ def _instrumented_report(args, energy_model: str, verbose: bool = True):
 
 def cmd_report(args) -> int:
     report = _instrumented_report(args, args.energy_model)
+    if report is None:
+        return 2
     report.validate()
     _print_table(
         f"Instrumented run report: per-category costs "
@@ -213,6 +198,8 @@ def cmd_report(args) -> int:
             "static" if args.energy_model != "static" else "value_aware"
         )
         baseline = _instrumented_report(args, baseline_model, verbose=False)
+        if baseline is None:
+            return 2
         baseline.validate()
         static, other = (
             (baseline, report)
@@ -294,20 +281,32 @@ def cmd_report(args) -> int:
 def _run_job(name: str, args, **params):
     """Run the ``cimflow serve`` job kind ``name`` in-process on its
     defaults overridden by ``params`` and ``--seed``, priced under
-    ``--energy-model``: the CLI and the server share one library call.
-    Returns the job's result, or ``None`` after printing why the
-    parameters were rejected."""
+    ``params["energy_model"]`` if given, else ``--energy-model``: the CLI
+    and the server share one library call.  Returns the job's ``(result,
+    report)``, or ``(None, None)`` after printing why the parameters were
+    rejected."""
     from repro.costs import use_model
+    from repro.serve.cache import ArtifactCache
     from repro.serve.service import JOB_KINDS, BadRequestError
 
     kind = JOB_KINDS[name]
-    cfg = {**kind.defaults, **params, "seed": args.seed}
+    cfg = {
+        **kind.defaults,
+        "energy_model": args.energy_model,
+        **params,
+        "seed": args.seed,
+    }
     try:
-        with use_model(args.energy_model):
-            return kind.run(cfg, args.workers, None)[0]
+        with use_model(cfg["energy_model"]):
+            # ``report`` has no ``--workers``; its pipeline job is serial.
+            result, report = kind.run(
+                cfg, getattr(args, "workers", 0), ArtifactCache()
+            )
     except (ValueError, BadRequestError) as exc:
         print(str(exc), file=sys.stderr)
-        return None
+        return None, None
+    report.label = name
+    return result, report
 
 
 def _csv(text: str, kind=str) -> list:
@@ -327,7 +326,7 @@ def _write_json(path: Optional[str], payload, what: str) -> None:
 
 def cmd_pipeline(args) -> int:
     names = _csv(args.objectives) if args.objectives else None
-    result = _run_job(
+    result, _ = _run_job(
         "dse",
         args,
         tile_counts=_csv(args.tiles, int),
@@ -415,7 +414,7 @@ def cmd_pipeline(args) -> int:
 def cmd_ecc_advisor(args) -> int:
     codes = _csv(args.codes)
     yields = _csv(args.yields, float)
-    result = _run_job(
+    result, _ = _run_job(
         "ecc",
         args,
         codes=codes,
@@ -489,7 +488,7 @@ def cmd_ecc_advisor(args) -> int:
 
 
 def cmd_attention(args) -> int:
-    result = _run_job(
+    result, _ = _run_job(
         "attention",
         args,
         seqs=_csv(args.seqs, int),
@@ -538,7 +537,7 @@ def cmd_attention(args) -> int:
 
 
 def cmd_train(args) -> int:
-    result = _run_job(
+    result, _ = _run_job(
         "train",
         args,
         lives=_csv(args.lives, float),

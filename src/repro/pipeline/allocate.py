@@ -8,9 +8,9 @@ differential-pair encoding (:mod:`repro.crossbar.mapping`), the
 non-divisible-shape zero-padding and the digital partial-sum accumulation
 are exactly the code paths tier-1 already locks down — and adds the two
 decisions that only exist at whole-model scope (:func:`deploy` programs
-the stages once they are made; it is also how
-:class:`~repro.apps.nn.CrossbarMLP` and :class:`~repro.apps.cnn.CrossbarCNN`
-put a traced network on tiles):
+the stages once they are made; it is also how the deployed-network class
+:class:`~repro.apps.nn.CrossbarMLP` and its CNN subclass
+:class:`~repro.apps.cnn.CrossbarCNN` put a traced network on tiles):
 
 * **Tile budgeting** — each stage needs
   ``ceil(rows / tile_rows) * ceil(cols / tile_cols)`` tiles per replica;
@@ -124,8 +124,9 @@ class StageAllocation:
         """Run one micro-batch through this stage on its assigned replica.
 
         This is the one deployed-layer forward pass: the pipeline, the
-        DSE and :class:`~repro.apps.nn.CrossbarMLP` /
-        :class:`~repro.apps.cnn.CrossbarCNN` all run it.  Activations are
+        DSE and the deployed networks
+        (:class:`~repro.apps.nn.CrossbarMLP` and its CNN subclass) all
+        run it.  Activations are
         scaled into ``[0, 1]`` by ``input_scale``, the crossbar output is
         rescaled by ``weight_scale`` then ``input_scale`` and biased, then
         the node's activation applies.

@@ -47,6 +47,8 @@ __all__ = [
     "DSE_PARAMETERS",
     "reference_graph",
     "reference_conv_graph",
+    "workload_graph",
+    "reference_inputs",
     "explore_pipeline",
     "pareto_analysis",
 ]
@@ -134,14 +136,30 @@ def reference_conv_graph(
     )
 
 
-def _workload_graph(
-    workload: str, layer_sizes: Sequence[int], model_seed: int
+def workload_graph(
+    workload: str,
+    model_seed: int,
+    layer_sizes: Sequence[int] = DEFAULT_LAYER_SIZES,
 ) -> LayerGraph:
+    """The reference graph of ``workload``: ``"cnn"``
+    (:func:`reference_conv_graph`) or ``"mlp"`` (:func:`reference_graph`
+    over ``layer_sizes``)."""
     if workload == "cnn":
         return reference_conv_graph(model_seed)
     if workload == "mlp":
         return reference_graph(layer_sizes, model_seed)
     raise ValueError(f"workload must be 'mlp' or 'cnn', got {workload!r}")
+
+
+def reference_inputs(graph: LayerGraph, batch: int, model_seed: int) -> np.ndarray:
+    """The input batch a reference graph runs on: uniform in ``[0, 1]``
+    from ``model_seed + 1``, ``(batch, H, W)`` images when the graph
+    starts with a convolution, ``(batch, features)`` otherwise."""
+    input_rng = np.random.default_rng(model_seed + 1)
+    if graph.input_is_image:
+        edge = graph.nodes[0].image_size
+        return input_rng.uniform(0.0, 1.0, size=(batch, edge, edge))
+    return input_rng.uniform(0.0, 1.0, size=(batch, graph.in_features))
 
 
 def _pipeline_point(
@@ -165,7 +183,7 @@ def _pipeline_point(
         "micro_batch": int(micro_batch),
         "trial": int(trial),
     }
-    graph = _workload_graph(workload, layer_sizes, model_seed)
+    graph = workload_graph(workload, model_seed, layer_sizes)
     try:
         alloc = allocate(
             graph,
@@ -176,12 +194,7 @@ def _pipeline_point(
     except AllocationError as exc:
         row.update({"feasible": False, "reason": str(exc)})
         return row
-    input_rng = np.random.default_rng(model_seed + 1)
-    if graph.input_is_image:
-        edge = graph.nodes[0].image_size
-        x = input_rng.uniform(0.0, 1.0, size=(batch, edge, edge))
-    else:
-        x = input_rng.uniform(0.0, 1.0, size=(batch, graph.in_features))
+    x = reference_inputs(graph, batch, model_seed)
     sched = PipelineScheduler(alloc, ScheduleParams(micro_batch=micro_batch))
     trace = sched.execute(x, noisy=noisy)
     seq = trace.schedule("sequential")

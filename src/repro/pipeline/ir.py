@@ -15,8 +15,9 @@ machine full of tiles":
   :class:`~repro.apps.nn.MLP` and :class:`~repro.apps.cnn.SimpleCNN`
   models (per-layer ``input_scale`` from calibration activations,
   ``w_max`` normalization at deployment time).
-  :class:`~repro.apps.nn.CrossbarMLP` / :class:`~repro.apps.cnn.CrossbarCNN`
-  are these traced graphs deployed onto tiles.
+  :class:`~repro.apps.nn.CrossbarMLP` is a traced graph deployed onto
+  tiles; its subclass :class:`~repro.apps.cnn.CrossbarCNN` only traces
+  with :func:`trace_cnn` instead.
 
 The graph is a general fork-join DAG: nodes declare their producers by
 name (``inputs``), nodes with no declared producers auto-wire as a chain
@@ -619,8 +620,9 @@ def trace_cnn(cnn, calibration: np.ndarray) -> LayerGraph:
 
     The conv stage's inputs are image pixels already in ``[0, 1]``
     (``input_scale=1``); the dense stage's scale is calibrated on the
-    post-conv activations.  :class:`~repro.apps.cnn.CrossbarCNN` is this
-    graph deployed.
+    post-conv activations.  :class:`~repro.apps.cnn.CrossbarCNN`, the
+    :class:`~repro.apps.nn.CrossbarMLP` subclass for CNNs, is this graph
+    deployed.
     """
     calibration = np.asarray(calibration, dtype=float)
     patches, pre = cnn._conv_forward(calibration)

@@ -361,7 +361,7 @@ def _run_pipeline(cfg, workers, artifacts):
         TileInventory,
         allocate,
     )
-    from repro.pipeline.explore import reference_conv_graph, reference_graph
+    from repro.pipeline.explore import reference_inputs, workload_graph
 
     workload = cfg["workload"]
     if workload not in ("mlp", "cnn"):
@@ -373,11 +373,7 @@ def _run_pipeline(cfg, workers, artifacts):
     model_seed = int(cfg["model_seed"])
     graph, graph_hit = artifacts.get_or_create(
         ("graph", workload, model_seed),
-        lambda: (
-            reference_conv_graph(model_seed)
-            if workload == "cnn"
-            else reference_graph(model_seed=model_seed)
-        ),
+        lambda: workload_graph(workload, model_seed),
     )
     alloc, alloc_hit = artifacts.get_or_create(
         (
@@ -395,14 +391,7 @@ def _run_pipeline(cfg, workers, artifacts):
             rng=int(cfg["seed"]),
         ),
     )
-    input_rng = np.random.default_rng(model_seed + 1)
-    if graph.input_is_image:
-        edge = graph.nodes[0].image_size
-        x = input_rng.uniform(0.0, 1.0, size=(int(cfg["batch"]), edge, edge))
-    else:
-        x = input_rng.uniform(
-            0.0, 1.0, size=(int(cfg["batch"]), graph.in_features)
-        )
+    x = reference_inputs(graph, int(cfg["batch"]), model_seed)
     sched = PipelineScheduler(
         alloc, ScheduleParams(micro_batch=int(cfg["micro_batch"]))
     )

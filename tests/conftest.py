@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.apps.cnn import SimpleCNN, synthetic_images
+from repro.apps.datasets import gaussian_blobs
+from repro.apps.nn import MLP
 from repro.crossbar.array import CrossbarArray, CrossbarConfig
 from repro.devices.reram import ConductanceLevels
 
@@ -25,3 +28,23 @@ def small_array():
     array = CrossbarArray(CrossbarConfig(rows=8, cols=8), rng=7)
     array.program(np.full((8, 8), 5e-5))
     return array
+
+
+@pytest.fixture(scope="module")
+def trained_mlp():
+    """A trained 16-16-4 MLP and its data (train on ``x[:200]``)."""
+    x, y = gaussian_blobs(
+        n_samples=300, n_features=16, n_classes=4, separation=2.5, rng=0
+    )
+    mlp = MLP([16, 16, 4], rng=1)
+    mlp.train(x[:200], y[:200], epochs=40, rng=2)
+    return mlp, x, y
+
+
+@pytest.fixture(scope="module")
+def trained_cnn():
+    """A trained stripe-image CNN and its data (train on ``x[:200]``)."""
+    x, y = synthetic_images(n_samples=300, noise=0.3, rng=0)
+    cnn = SimpleCNN(rng=1)
+    cnn.train(x[:200], y[:200], epochs=25, rng=2)
+    return cnn, x, y

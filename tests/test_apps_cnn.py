@@ -6,14 +6,6 @@ import pytest
 from repro.apps.cnn import CrossbarCNN, SimpleCNN, im2col, synthetic_images
 
 
-@pytest.fixture(scope="module")
-def trained_cnn():
-    x, y = synthetic_images(n_samples=300, noise=0.3, rng=0)
-    cnn = SimpleCNN(rng=1)
-    cnn.train(x[:200], y[:200], epochs=25, rng=2)
-    return cnn, x, y
-
-
 class TestSyntheticImages:
     def test_shapes_and_range(self):
         x, y = synthetic_images(n_samples=50, size=8, rng=0)
@@ -92,27 +84,22 @@ class TestCrossbarDeployment:
         hw_logits = deployed.forward_one(x[0])
         assert np.corrcoef(sw_logits, hw_logits)[0, 1] > 0.99
 
-    def test_heavy_faults_degrade(self, trained_cnn):
-        cnn, x, y = trained_cnn
-        deployed = CrossbarCNN(cnn, calibration=x[:200], rng=5)
-        clean = deployed.accuracy(x[200:250], y[200:250])
-        deployed.inject_yield_faults(0.5, rng=6)
-        faulty = deployed.accuracy(x[200:250], y[200:250])
-        assert faulty < clean
-
-    def test_batched_forward_matches_per_image(self, trained_cnn):
-        """predict/accuracy batch all images through vmm_batch; the
-        result must equal the per-image path exactly (noisy=False)."""
+    def test_fault_introspection(self, trained_cnn):
+        """Fault masks, decoded weights and reprogramming cover the conv
+        and the dense stage, as they do the MLP's layers."""
         cnn, x, _ = trained_cnn
-        deployed = CrossbarCNN(cnn, calibration=x[:200], rng=7)
-        batched = deployed.forward_batch(x[200:220], noisy=False)
-        looped = np.stack(
-            [deployed.forward_one(img, noisy=False) for img in x[200:220]]
-        )
-        assert np.allclose(batched, looped, atol=1e-12)
-
-    def test_forward_batch_shape_validated(self, trained_cnn):
-        cnn, x, _ = trained_cnn
-        deployed = CrossbarCNN(cnn, calibration=x[:200], rng=8)
-        with pytest.raises(ValueError, match="batch"):
-            deployed.forward_batch(x[0])
+        deployed = CrossbarCNN(cnn, calibration=x[:200], rng=9)
+        deployed.inject_yield_faults(0.8, rng=10)
+        trained = [cnn.conv_w, cnn.dense_w]
+        masks = deployed.layer_fault_masks()
+        assert [m.shape for m in masks] == [w.shape for w in trained]
+        for w_true, w_eff, mask in zip(
+            trained, deployed.effective_weights(), masks
+        ):
+            assert mask.any()
+            assert np.abs(w_eff[~mask] - w_true[~mask]).max() < 1e-6
+        deployed.reprogram([np.zeros_like(w) for w in trained])
+        for w_eff, mask in zip(deployed.effective_weights(), masks):
+            assert np.abs(w_eff[~mask]).max() < 1e-6
+        with pytest.raises(ValueError):
+            deployed.reprogram(trained[:1])

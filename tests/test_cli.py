@@ -464,6 +464,19 @@ class TestExecution:
         assert "tile utilization" in out
 
 
+    @pytest.mark.parametrize("source", ["fig5", "pipeline"])
+    def test_report_diff_prices_each_run(self, capsys, source):
+        """``--diff`` re-runs the workload under the other energy model,
+        so some category's value-aware energy differs from its static
+        energy."""
+        argv = ["report", "--source", source, "--batch", "4", "--diff"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        table = out.split("== Energy diff")[1].split("\n\n")[0]
+        rows = [line.split() for line in table.splitlines()[2:]]
+        assert rows and any(static != aware for _, static, aware, _ in rows)
+
+
 class TestSharedJobPath:
     """A CLI job command and the ``cimflow serve`` kind it mirrors make
     one library call: the ``--json`` file equals the served result."""
@@ -525,3 +538,23 @@ class TestSharedJobPath:
         )
         served = response["result"] if key is None else response["result"][key]
         assert json.loads(path.read_text()) == served
+
+    def test_report_pipeline_json_equals_serve_report(self, tmp_path, capsys):
+        """``report --source pipeline`` runs the served ``pipeline`` kind on
+        the reference MLP: its ``--json`` report is the served report."""
+        import asyncio
+        import json
+
+        from repro.serve import SimulationService
+
+        path = tmp_path / "report.json"
+        argv = ["--seed", "3", "report", "--source", "pipeline",
+                "--batch", "8", "--json", str(path)]
+        assert main(argv) == 0
+        response = asyncio.run(
+            SimulationService().submit(
+                {"kind": "pipeline",
+                 "params": {"workload": "mlp", "batch": 8, "seed": 3}}
+            )
+        )
+        assert json.loads(path.read_text()) == response["report"]

@@ -348,6 +348,8 @@ class TestParamTypes:
             ("faults", {"cell_yield": 0.0}),
             ("infer", {"x": [[0.5] * 16, [0.5] * 15]}),
             ("dse", {"workload": "rnn"}),
+            ("sweep", {"yields": [1.5]}),
+            ("sweep", {"yields": [-0.5]}),
         ],
     )
     def test_bad_values_are_bad_requests(self, kind, params):
