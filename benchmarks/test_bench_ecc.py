@@ -20,9 +20,10 @@ from conftest import print_table, record_ecc_metrics
 #: the scalar reference means the vectorization silently regressed.
 CODEC_SPEEDUP_GATE = 3.0
 
-#: ``_mc_block`` decodes only the error patterns of words that took a
-#: flip; under 1.5x over the full encode -> flip -> decode block means
-#: that shortcut silently stopped paying.
+#: ``_mc_block`` skips the discarded data draw by advancing the stream,
+#: and decodes only the error patterns of words with more flips than the
+#: code always corrects; under 1.5x over the full encode -> flip ->
+#: decode block means those shortcuts silently stopped paying.
 MC_BLOCK_SPEEDUP_GATE = 1.5
 MC_BER = 1e-3
 MC_REPEATS = 15

@@ -3,13 +3,15 @@
 
 Starts a real ``cimflow serve`` process on an ephemeral port, submits an
 inference request, a yield sweep, a small in-situ ``train`` job, a small
-``pipeline`` pass and a one-point ``dse`` job over the socket, then
+``pipeline`` pass, a one-point ``dse`` job and a one-point ``ecc`` job over
+the socket, then
 re-submits each job and asserts the second response is
 a results-cache hit that is bit-identical to the cold one — the serving
 layer's core contract, exercised through the same process boundary users
 cross.  The served logits must equal the same model deployed in this
-process.  An input containing NaN and a sweep at yield 1.5 must each be
-a ``bad_request`` that leaves the server answering.  The ``train`` job covers the device write
+process.  An input containing NaN, a sweep at yield 1.5 and an ``ecc``
+job with ``words_per_array: 0`` must each be a ``bad_request`` that
+leaves the server answering.  The ``train`` job covers the device write
 path (write-verify, endurance wear, programming energy).  Its cold run fans out over two
 sweep workers and its warm run asks for none, so the hit also proves the
 parallel path returns the full, non-empty report a serial run would.
@@ -45,6 +47,8 @@ TRAIN = {"lives": [8.0], "drift_nus": [0.01], "epochs": 1}
 # per-step telemetry scopes, across the process boundary.
 PIPELINE = {"batch": 16}
 DSE = {"tile_counts": [4], "duplication_modes": ["none"]}
+# One code at one yield: the ECC Monte Carlo block and the advisor.
+ECC = {"codes": ["bch"], "yields": [0.97], "mc_words": 512, "trials": 1}
 
 READY_RE = re.compile(r"listening on ([\d.]+):(\d+)")
 
@@ -140,7 +144,7 @@ def main():
             print("serve_smoke: out-of-range yield is a bad_request")
             # The sweep below is then served as usual.
             cold = cold_then_warm(client, "sweep", SWEEP)
-            print(f"serve_smoke: sweep ok ({len(cold['result'])} rows)")
+            print(f"serve_smoke: sweep ok ({len(cold['result']['rows'])} rows)")
             cold = cold_then_warm(client, "train", TRAIN, workers=2)
             if not cold["report"]["totals"]["energy"] > 0:
                 fail(f"parallel train report is empty: {cold['report']}")
@@ -151,10 +155,17 @@ def main():
             print("serve_smoke: pipeline ok")
             cold = cold_then_warm(client, "dse", DSE)
             print(f"serve_smoke: dse ok ({len(cold['result']['rows'])} rows)")
+            bad = client.request("ecc", {**ECC, "words_per_array": 0})
+            code = (bad.get("error") or {}).get("code")
+            if bad.get("ok") or code != "bad_request":
+                fail(f"ecc with words_per_array 0 must be a bad_request, got {bad}")
+            print("serve_smoke: ecc with words_per_array 0 is a bad_request")
+            cold = cold_then_warm(client, "ecc", ECC)
+            print(f"serve_smoke: ecc ok ({len(cold['result']['rows'])} rows)")
 
             stats = client.request("stats")
             cache = stats["result"]["results_cache"]
-            if cache["request_hits"] < 4:
+            if cache["request_hits"] < 5:
                 fail(f"stats report no results-cache hits: {cache}")
             print(f"serve_smoke: PASS (results cache: {cache})")
     finally:

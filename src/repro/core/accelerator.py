@@ -195,7 +195,7 @@ class CIMAccelerator:
                 injector = FaultInjector(core.array, rng=rngs[k])
                 fault_map = injector.inject_for_yield(cell_yield)
                 core.invalidate_solver_cache()
-                total_faults += len(fault_map.cells())
+                total_faults += fault_map.count
                 total_cells += core.array.rows * core.array.cols
                 k += 1
         return total_faults / total_cells

@@ -104,10 +104,28 @@ class CrossbarArray:
 
     def stick_cell(self, row: int, col: int, conductance: float) -> None:
         """Pin cell ``(row, col)`` to ``conductance`` (hard fault)."""
-        self._check_cell(row, col)
-        check_positive("conductance", conductance)
-        self._stuck_mask[row, col] = True
-        self._stuck_values[row, col] = conductance
+        self.stick_cells([row], [col], [conductance])
+
+    def stick_cells(self, rows, cols, conductances) -> None:
+        """Pin cells ``(rows[i], cols[i])`` to ``conductances[i]`` (hard
+        faults) in one call.  Bounds and positivity are checked once on the
+        whole arrays, before any cell is pinned."""
+        rows = np.asarray(rows)
+        cols = np.asarray(cols)
+        conductances = np.asarray(conductances, dtype=float)
+        if rows.size == 0:
+            return
+        outside = (rows < 0) | (rows >= self.rows) | (cols < 0) | (cols >= self.cols)
+        if outside.any():
+            first = np.argmax(outside)
+            self._check_cell(rows[first], cols[first])
+        not_positive = ~(conductances > 0)
+        if not_positive.any():
+            check_positive(
+                "conductance", float(conductances.flat[np.argmax(not_positive)])
+            )
+        self._stuck_mask[rows, cols] = True
+        self._stuck_values[rows, cols] = conductances
 
     def release_cell(self, row: int, col: int) -> None:
         """Remove a stuck fault from cell ``(row, col)`` (repair model)."""

@@ -143,14 +143,9 @@ class EnduranceSimulator:
         self._writes += writes
         now_dead = (self._writes >= self._lifetimes) & before
         now_dead &= ~self.array._stuck_mask
-        if not now_dead.any():
-            return []
-        new_faults: List[Fault] = []
-        for r, c in zip(*np.nonzero(now_dead)):
-            fault = Fault(FaultType.ENDURANCE_WEAROUT, int(r), int(c))
-            self.injector.inject_fault(fault)
-            new_faults.append(fault)
-        return new_faults
+        return self.injector.inject_cells(
+            FaultType.ENDURANCE_WEAROUT, *np.nonzero(now_dead)
+        )
 
     def run_until(self, total_writes: float, step: float) -> List[dict]:
         """Cycle in ``step`` increments up to ``total_writes``; returns a

@@ -56,7 +56,10 @@ def _binomial_tail(n: int, p: float, k_min: int) -> float:
     once the tail drops below the complement's rounding noise (~1e-16,
     i.e. exactly the paper's BER < 1e-5 operating regime).  Terms are
     accumulated smallest-first (``k = n`` down to ``k_min``) so tiny-``p``
-    tails stay accurate to a few ulp.
+    tails stay accurate to a few ulp.  A coefficient ``C(n, k)`` beyond
+    float range (``n`` of about 1030 and more) prices its term in log
+    space instead; every term whose coefficient fits a float is computed
+    as before.
     """
     if k_min <= 0:
         return 1.0
@@ -69,7 +72,13 @@ def _binomial_tail(n: int, p: float, k_min: int) -> float:
     q = 1.0 - p
     total = 0.0
     for k in range(n, k_min - 1, -1):
-        total += math.comb(n, k) * (p ** k) * (q ** (n - k))
+        coefficient = math.comb(n, k)
+        try:
+            total += coefficient * (p ** k) * (q ** (n - k))
+        except OverflowError:
+            total += math.exp(
+                math.log(coefficient) + k * math.log(p) + (n - k) * math.log(q)
+            )
     return min(total, 1.0)
 
 
@@ -89,7 +98,9 @@ class EccCode:
     ``decode_block(e)`` and its data differ from ``decode_block(e)``'s by
     exactly ``c``'s data bits, which lets the Monte Carlo (:func:`_mc_block`)
     decode bare error patterns instead of encoded random data.  The test
-    suite checks this contract for every registered code.
+    suite checks this contract for every registered code.  The Monte
+    Carlo also trusts ``correctable_random``: a word with at most ``t``
+    flips is counted as corrected without being decoded.
     """
 
     #: Registry name (what :func:`make_code` and the advisor sweep use).
@@ -838,6 +849,41 @@ def make_code(name: str, data_bits: int = 64) -> EccCode:
     return cls(data_bits)
 
 
+def _skip_data_draw(rng: np.random.Generator, values: int) -> None:
+    """Leave ``rng`` exactly where ``rng.integers(0, 2, size=values)``
+    would, without drawing the values.
+
+    At the default int64 dtype numpy takes each value in ``[0, 2)`` from
+    one ``next_uint32``, and PCG64 serves those from the halves of its
+    64-bit words: a pending upper half first, then the lower and upper
+    half of each fresh word.  So the skip is an ``advance`` over all but
+    the last fresh word, one ``random_raw`` for that word, and the
+    half-word buffer (``has_uint32``/``uinteger``) set as the draw leaves
+    it.  After an even count that buffer still holds the stale upper
+    half of the last word, which the state dict also compares.  Only
+    PCG64 is accepted (every sweep-engine stream is one); any other bit
+    generator raises ``TypeError``.
+    """
+    bit_gen = rng.bit_generator
+    if not isinstance(bit_gen, np.random.PCG64):
+        raise TypeError(
+            f"the ECC Monte Carlo needs a PCG64 stream, got "
+            f"{type(bit_gen).__name__}"
+        )
+    state = bit_gen.state
+    fresh = values - state["has_uint32"]
+    upper = state["uinteger"]
+    if fresh > 0:
+        words = (fresh + 1) // 2
+        if words > 1:
+            bit_gen.advance(words - 1)
+        upper = int(bit_gen.random_raw()) >> 32
+    state = bit_gen.state
+    state["has_uint32"] = fresh % 2
+    state["uinteger"] = upper
+    bit_gen.state = state
+
+
 def _mc_block(
     count: int,
     rng: np.random.Generator,
@@ -851,18 +897,23 @@ def _mc_block(
     Because every :class:`EccCode` is linear with a syndrome decoder, a
     word ``c ^ e`` fails exactly when decoding the bare error pattern
     ``e`` reports :data:`STATUS_DETECTED` or leaves nonzero data bits, so
-    nothing is encoded and only the words that took a flip are decoded.
-    Flags and generator state are bit-identical to encoding random data,
-    flipping it and decoding the whole block (the test-suite oracle).
+    nothing is encoded.  A word with at most ``code.correctable_random``
+    flips is always corrected, so only the rows with more flips are
+    decoded.  The random data of the encode -> decode form is never drawn:
+    :func:`_skip_data_draw` moves the stream past it, so flags and
+    generator state are bit-identical to encoding random data, flipping
+    it and decoding the whole block (the test-suite oracle).  ``rng``
+    must be backed by PCG64.
     """
-    # The data draw is discarded but kept, so the generator stream (and
-    # every seeded result downstream) matches the encode -> decode form.
-    rng.integers(0, 2, size=(count, code.data_bits))
-    flips = rng.random((count, code.codeword_bits)) < ber
+    n = code.codeword_bits
+    _skip_data_draw(rng, count * code.data_bits)
+    flips = rng.random((count, n)) < ber
+    flips_per_row = np.bincount(np.flatnonzero(flips) // n, minlength=count)
+    rows = np.flatnonzero(flips_per_row > code.correctable_random)
     failed = np.zeros(count, dtype=bool)
-    rows = np.flatnonzero(flips.any(axis=1))
-    decoded, status = code.decode_block(flips[rows].view(np.int8))
-    failed[rows] = (status == STATUS_DETECTED) | decoded.any(axis=1)
+    if rows.size:
+        decoded, status = code.decode_block(flips[rows].view(np.int8))
+        failed[rows] = (status == STATUS_DETECTED) | decoded.any(axis=1)
     return failed
 
 
@@ -928,8 +979,9 @@ class EccAnalysis:
         data differs from the original (syndrome aliasing on >= 3 flips).
 
         The default path batches trials into blocks (:func:`_mc_block`,
-        which decodes only the error patterns of words that took a flip)
-        and fans the blocks out over the sweep engine
+        which skips the discarded data draw and decodes only the error
+        patterns of words with more than ``t`` flips) and fans the blocks
+        out over the sweep engine
         (:func:`repro.utils.parallel.run_blocks`): one spawned stream per
         block, so the rate is bit-identical for a given ``rng`` at any
         ``workers`` count.  :func:`_mc_failure_rate_scalar` keeps the

@@ -242,6 +242,10 @@ def advise_ecc(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if mc_words < 1:
         raise ValueError(f"mc_words must be >= 1, got {mc_words}")
+    if words_per_array < 1:
+        raise ValueError(
+            f"words_per_array must be >= 1, got {words_per_array}"
+        )
     scenario_names = list(scenarios) if scenarios else sorted(SCENARIOS)
     for name in scenario_names:
         if name not in SCENARIOS:

@@ -167,6 +167,28 @@ class TestFaultOverlay:
         with pytest.raises(IndexError):
             small_array.stick_cell(8, 0, 1e-6)
 
+    def test_stick_cells_pins_every_cell(self, small_array):
+        small_array.stick_cells(np.array([0, 3, 7]), np.array([1, 3, 0]),
+                                np.array([1e-6, 2e-6, 1e-4]))
+        g = small_array.conductances()
+        assert (g[0, 1], g[3, 3], g[7, 0]) == (1e-6, 2e-6, 1e-4)
+        assert small_array.fault_count() == 3
+
+    @pytest.mark.parametrize(
+        "rows, cols, values, error",
+        [
+            ([0, 8], [0, 0], [1e-6, 1e-6], IndexError),
+            ([0, 1], [0, -1], [1e-6, 1e-6], IndexError),
+            ([0, 1], [0, 1], [1e-6, 0.0], ValueError),
+            ([0, 1], [0, 1], [float("nan"), 1e-6], ValueError),
+        ],
+    )
+    def test_stick_cells_checks_before_pinning(self, small_array, rows,
+                                               cols, values, error):
+        with pytest.raises(error):
+            small_array.stick_cells(rows, cols, values)
+        assert small_array.fault_count() == 0
+
     def test_stuck_cell_changes_vmm(self, small_array):
         v = np.full(8, 0.2)
         before = small_array.vmm(v).copy()

@@ -350,6 +350,9 @@ class TestParamTypes:
             ("dse", {"workload": "rnn"}),
             ("sweep", {"yields": [1.5]}),
             ("sweep", {"yields": [-0.5]}),
+            ("ecc", {"words_per_array": 0}),
+            # BCH (a default code) has no GF(2^m) table this wide.
+            ("ecc", {"data_bits": 1024}),
         ],
     )
     def test_bad_values_are_bad_requests(self, kind, params):
@@ -359,6 +362,21 @@ class TestParamTypes:
                 await svc.submit({"kind": kind, "params": params})
 
         run(main())
+
+    def test_wide_ecc_words_are_served(self):
+        # 1036-bit codewords have binomial coefficients beyond float
+        # range; the analytic tail used to raise OverflowError (internal).
+        params = {"codes": ["secded", "secdaec"], "data_bits": 1024,
+                  "yields": [0.9999], "scenarios": ["read_heavy"],
+                  "mc_words": 64, "trials": 1}
+
+        async def main():
+            return await make_service().submit({"kind": "ecc", "params": params})
+
+        rows = run(main())["result"]["rows"]
+        assert [row["codeword_bits"] for row in rows] == [1036, 1036]
+        for row in rows:
+            assert 0.0 < row["analytic_word_failure"] < 1.0
 
     def test_int_accepted_where_default_is_float(self):
         from repro.serve.service import SWEEP_DEFAULTS, _normalize

@@ -139,24 +139,26 @@ class TestBerAnalysis:
         probs = [r["word_failure_probability"] for r in rows]
         assert probs == sorted(probs)
 
-    @pytest.mark.parametrize("ber", [1e-5, 1e-7, 1e-9])
+    @pytest.mark.parametrize("ber", [1e-5, 1e-7, 1e-9, 0.5])
     def test_failure_probability_matches_exact_binomial_tail(self, ber):
         """Regression for the catastrophic-cancellation bug: the old
         ``1 - p_ok - p_one`` form returned pure rounding noise below
         BER ~1e-6.  The stable tail sum must agree with an exact
-        rational-arithmetic reference to < 1e-9 relative error."""
+        rational-arithmetic reference to < 1e-9 relative error.  The
+        1036-bit codeword has binomial coefficients beyond float range
+        (they raised ``OverflowError``); at BER 0.5 those terms carry
+        almost all of the tail."""
         from fractions import Fraction
 
-        analysis = EccAnalysis(HammingSecDed(64))
-        n = analysis.code.codeword_bits
         p = Fraction(ber)  # the exact float the computation actually uses
         q = 1 - p
-        exact = sum(
-            Fraction(math.comb(n, k)) * p**k * q ** (n - k)
-            for k in range(2, n + 1)
-        )
-        got = Fraction(analysis.word_failure_probability(ber))
-        assert abs(got - exact) / exact < Fraction(1, 10**9)
+        for data_bits in (64, 1024):
+            analysis = EccAnalysis(HammingSecDed(data_bits))
+            n = analysis.code.codeword_bits
+            # P[X >= 2]; exact rationals, so the complement cannot cancel.
+            exact = 1 - q**n - n * p * q ** (n - 1)
+            got = Fraction(analysis.word_failure_probability(ber))
+            assert abs(got - exact) / exact < Fraction(1, 10**9), data_bits
 
     def test_failure_probability_positive_at_tiny_ber(self):
         # The cancelling form went negative here; the tail sum cannot.

@@ -331,6 +331,41 @@ class TestMonteCarloBlock:
             assert np.array_equal(fast, ref), f"seed {seed}"
             assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
 
+    @pytest.mark.parametrize("name", ALL_CODES)
+    @pytest.mark.parametrize("data_bits", [7, 9, 13])
+    def test_odd_half_word_counts(self, name, data_bits):
+        # An odd ``count * data_bits`` leaves a pending upper half-word.
+        code = make_code(name, data_bits)
+        for seed, count in enumerate((1, 3, 499)):
+            fast_rng = np.random.default_rng(seed)
+            ref_rng = np.random.default_rng(seed)
+            fast = _mc_block(count, fast_rng, code, 0.05)
+            ref = _mc_block_full_codec(count, ref_rng, code, 0.05)
+            assert np.array_equal(fast, ref)
+            assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+            assert fast_rng.integers(0, 2, size=5).tolist() == (
+                ref_rng.integers(0, 2, size=5).tolist()
+            )
+
+    @pytest.mark.parametrize("name", ALL_CODES)
+    @pytest.mark.parametrize("count", [1, 2, 499, 500])
+    def test_enters_with_a_pending_half_word(self, name, count):
+        code = make_code(name, 9)
+        fast_rng = np.random.default_rng(11)
+        ref_rng = np.random.default_rng(11)
+        for gen in (fast_rng, ref_rng):
+            gen.integers(0, 2)
+            assert gen.bit_generator.state["has_uint32"] == 1
+        fast = _mc_block(count, fast_rng, code, 0.05)
+        ref = _mc_block_full_codec(count, ref_rng, code, 0.05)
+        assert np.array_equal(fast, ref)
+        assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_rejects_a_non_pcg64_generator(self):
+        rng = np.random.Generator(np.random.MT19937(0))
+        with pytest.raises(TypeError, match="PCG64"):
+            _mc_block(10, rng, make_code("secded", 8), 0.01)
+
     def test_advisor_rows_unchanged(self, monkeypatch):
         from repro.testing import ecc_advisor
 
