@@ -4,8 +4,11 @@ advisor.
 Gates the fast-path-plus-reference contract on its performance half: the
 BCH ``decode_block`` fast path must beat a scalar ``decode`` loop by
 ``>= CODEC_SPEEDUP_GATE`` (the correctness half — exhaustive bit-equality
-— lives in ``tests/test_testing_ecc_codes.py``).  Also proves the advisor
-is bit-identical serial vs parallel at any worker count, and writes the
+— lives in ``tests/test_testing_ecc_codes.py``), and the candidate-only
+Monte Carlo block must beat the full encode -> flip -> decode block by
+``>= MC_BLOCK_SPEEDUP_GATE`` while estimating the same failure rate.
+Also proves the advisor is bit-identical serial vs parallel at any worker
+count, and writes the
 numbers to ``BENCH_ecc.json`` (via :func:`conftest.record_ecc_metrics`)
 so the codec-throughput trajectory is tracked across PRs.
 """
@@ -13,6 +16,7 @@ so the codec-throughput trajectory is tracked across PRs.
 import time
 
 import numpy as np
+import pytest
 
 from conftest import print_table, record_ecc_metrics
 
@@ -20,12 +24,15 @@ from conftest import print_table, record_ecc_metrics
 #: the scalar reference means the vectorization silently regressed.
 CODEC_SPEEDUP_GATE = 3.0
 
-#: ``_mc_block`` skips the discarded data draw by advancing the stream,
-#: and decodes only the error patterns of words with more flips than the
-#: code always corrects; under 1.5x over the full encode -> flip ->
-#: decode block means those shortcuts silently stopped paying.
+#: ``_mc_block`` draws and decodes only the error patterns of words with
+#: more flips than the code always corrects; under 1.5x over the full
+#: encode -> flip -> decode block means that shortcut silently stopped
+#: paying.
 MC_BLOCK_SPEEDUP_GATE = 1.5
-MC_BER = 1e-3
+#: Record name -> BER: an advisor-range BER, and the advisor's densest
+#: default one (cell yield 0.97), where about one BCH(32) word in seven
+#: is a candidate and decoding dominates.
+MC_BERS = {"mc_block": 1e-3, "mc_block_dense": 0.03}
 MC_REPEATS = 15
 
 WORDS = 4096
@@ -39,8 +46,8 @@ def _timed(fn, *args, **kwargs):
 
 
 def _mc_block_full_codec(count, rng, code, ber):
-    """The Monte Carlo block ``_mc_block`` must match: encode random
-    data, flip, decode the whole block and compare with the data."""
+    """The Monte Carlo block ``_mc_block`` must agree with in law: encode
+    random data, flip, decode the whole block and compare with the data."""
     from repro.testing.ecc import STATUS_DETECTED
 
     data = rng.integers(0, 2, size=(count, code.data_bits)).astype(np.int8)
@@ -51,48 +58,54 @@ def _mc_block_full_codec(count, rng, code, ber):
     return (status == STATUS_DETECTED) | np.any(decoded != data, axis=1)
 
 
-def test_mc_block_beats_full_codec(run_once):
-    """The advisor's inner loop on BCH(32) at an advisor-range BER: the
-    error-pattern-only block must be bit-equal to the full codec (flags
-    and generator state) and clear the gate.  Best of ``MC_REPEATS``
-    same-seed calls per path."""
+@pytest.mark.parametrize("record", sorted(MC_BERS))
+def test_mc_block_beats_full_codec(run_once, record):
+    """The advisor's inner loop on BCH(32): the candidate-only block must
+    estimate the same failure rate as the full codec (within 4 standard
+    errors of the difference) and clear the gate.  Best of
+    ``MC_REPEATS`` same-seed calls per path."""
     from repro.testing.ecc import _mc_block, make_code
 
+    ber = MC_BERS[record]
     code = make_code("bch", DATA_BITS)
 
     def best_of(fn):
         best = float("inf")
         for _ in range(MC_REPEATS):
             rng = np.random.default_rng(0)
-            flags, seconds = _timed(fn, WORDS, rng, code, MC_BER)
+            flags, seconds = _timed(fn, WORDS, rng, code, ber)
             best = min(best, seconds)
-        return flags, rng.bit_generator.state, best
+        return flags, best
 
     def experiment():
         return best_of(_mc_block), best_of(_mc_block_full_codec)
 
-    (flags, state, t_fast), (ref_flags, ref_state, t_full) = run_once(
-        experiment
-    )
-    assert np.array_equal(flags, ref_flags)
-    assert state == ref_state
+    (flags, t_fast), (ref_flags, t_full) = run_once(experiment)
+    failed, ref_failed = int(flags.sum()), int(ref_flags.sum())
+    pooled = (failed + ref_failed) / (2 * WORDS)
+    se = np.sqrt(pooled * (1.0 - pooled) * 2.0 / WORDS)
+    assert flags.shape == ref_flags.shape and flags.dtype == ref_flags.dtype
+    assert abs(failed - ref_failed) / WORDS <= 4.0 * se
     speedup = t_full / t_fast
     print_table(
-        f"BCH({DATA_BITS}) Monte Carlo block, {WORDS} words, BER {MC_BER}",
+        f"BCH({DATA_BITS}) Monte Carlo block, {WORDS} words, BER {ber}",
         [
-            {"path": "full encode/decode", "seconds": t_full},
-            {"path": "error patterns only", "seconds": t_fast},
+            {"path": "full encode/decode", "seconds": t_full,
+             "failed_words": ref_failed},
+            {"path": "candidate words only", "seconds": t_fast,
+             "failed_words": failed},
         ],
     )
     print(f"mc_block speedup: {speedup:.2f}x (gate {MC_BLOCK_SPEEDUP_GATE}x)")
     record_ecc_metrics(
-        "mc_block",
+        record,
         {
             "code": "bch",
             "words": WORDS,
             "data_bits": DATA_BITS,
-            "ber": MC_BER,
-            "failed_words": int(flags.sum()),
+            "ber": ber,
+            "failed_words": failed,
+            "full_codec_failed_words": ref_failed,
             "full_codec_seconds": t_full,
             "mc_block_seconds": t_fast,
             "speedup_mc_block_vs_full_codec": speedup,

@@ -11,9 +11,10 @@ layer's core contract, exercised through the same process boundary users
 cross.  The served logits must equal the same model deployed in this
 process.  An input containing NaN, a sweep at yield 1.5 and an ``ecc``
 job with ``words_per_array: 0`` must each be a ``bad_request`` that
-leaves the server answering.  The ``train`` job covers the device write
-path (write-verify, endurance wear, programming energy).  Its cold run fans out over two
-sweep workers and its warm run asks for none, so the hit also proves the
+leaves the server answering.  Every cold ``ecc`` row must carry a
+coverage in [0, 1] and a non-negative ``word_failure_se``.  The
+``train`` job covers the device write path (write-verify, endurance wear,
+programming energy).  Its cold run fans out over two sweep workers and its warm run asks for none, so the hit also proves the
 parallel path returns the full, non-empty report a serial run would.
 
 Exits non-zero (with a message on stderr) on any violation.
@@ -161,6 +162,11 @@ def main():
                 fail(f"ecc with words_per_array 0 must be a bad_request, got {bad}")
             print("serve_smoke: ecc with words_per_array 0 is a bad_request")
             cold = cold_then_warm(client, "ecc", ECC)
+            for row in cold["result"]["rows"]:
+                if not row.get("word_failure_se", -1.0) >= 0.0:
+                    fail(f"ecc row has no standard error: {row}")
+                if not 0.0 <= row["coverage"] <= 1.0:
+                    fail(f"ecc coverage outside [0, 1]: {row}")
             print(f"serve_smoke: ecc ok ({len(cold['result']['rows'])} rows)")
 
             stats = client.request("stats")

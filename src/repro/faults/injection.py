@@ -61,13 +61,17 @@ class FaultMap:
     shape: Tuple[int, int]
     faults: List[Fault] = field(default_factory=list)
 
-    def add(self, fault: Fault) -> None:
-        """Record one injected fault."""
+    def check_inside(self, fault: Fault) -> None:
+        """Raise ``ValueError`` unless ``fault`` sits on a cell of the map."""
         rows, cols = self.shape
         if not (0 <= fault.row < rows and 0 <= fault.col < cols):
             raise ValueError(
                 f"fault at ({fault.row}, {fault.col}) outside {rows}x{cols}"
             )
+
+    def add(self, fault: Fault) -> None:
+        """Record one injected fault."""
+        self.check_inside(fault)
         self.faults.append(fault)
 
     @property
@@ -110,7 +114,11 @@ class FaultInjector:
 
     # ------------------------------------------------------------ primitives
     def inject_fault(self, fault: Fault) -> None:
-        """Apply one fault to the array (hard faults pin the cell)."""
+        """Apply one fault to the array (hard faults pin the cell).
+
+        A fault outside the array raises ``ValueError`` before anything
+        changes: the array, the fault map and the random stream."""
+        self.fault_map.check_inside(fault)
         if fault.fault_type in _PINNING:
             (value,) = self._pinned_values(
                 fault.fault_type, [fault.row], [fault.col]

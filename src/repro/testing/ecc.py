@@ -30,6 +30,7 @@ the write count at which accumulated hard faults defeat it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -47,6 +48,22 @@ STATUS_CORRECTED = 1
 STATUS_DETECTED = 2
 
 
+def _binomial_term(n: int, k: int, p: float, q: float) -> float:
+    """``P[X = k]`` for ``X ~ Binomial(n, p)``, with ``q = 1 - p``.  A
+    coefficient ``C(n, k)`` beyond float range (``n`` of about 1030 and
+    more) prices the term in log space instead; every term whose
+    coefficient fits a float is a plain product."""
+    coefficient = math.comb(n, k)
+    try:
+        return coefficient * (p ** k) * (q ** (n - k))
+    except OverflowError:
+        if p == 0.0 or q == 0.0:
+            return 0.0  # 0 < k < n here: C(n, 0) and C(n, n) are 1
+        return math.exp(
+            math.log(coefficient) + k * math.log(p) + (n - k) * math.log(q)
+        )
+
+
 def _binomial_tail(n: int, p: float, k_min: int) -> float:
     """``P[X >= k_min]`` for ``X ~ Binomial(n, p)``, summed directly over
     the tail.
@@ -54,12 +71,9 @@ def _binomial_tail(n: int, p: float, k_min: int) -> float:
     Every term is positive, so there is no cancellation — unlike the
     complement form ``1 - P[0] - P[1] - ...`` which loses all precision
     once the tail drops below the complement's rounding noise (~1e-16,
-    i.e. exactly the paper's BER < 1e-5 operating regime).  Terms are
-    accumulated smallest-first (``k = n`` down to ``k_min``) so tiny-``p``
-    tails stay accurate to a few ulp.  A coefficient ``C(n, k)`` beyond
-    float range (``n`` of about 1030 and more) prices its term in log
-    space instead; every term whose coefficient fits a float is computed
-    as before.
+    i.e. exactly the paper's BER < 1e-5 operating regime).  Terms
+    (:func:`_binomial_term`) are accumulated smallest-first (``k = n``
+    down to ``k_min``) so tiny-``p`` tails stay accurate to a few ulp.
     """
     if k_min <= 0:
         return 1.0
@@ -72,14 +86,27 @@ def _binomial_tail(n: int, p: float, k_min: int) -> float:
     q = 1.0 - p
     total = 0.0
     for k in range(n, k_min - 1, -1):
-        coefficient = math.comb(n, k)
-        try:
-            total += coefficient * (p ** k) * (q ** (n - k))
-        except OverflowError:
-            total += math.exp(
-                math.log(coefficient) + k * math.log(p) + (n - k) * math.log(q)
-            )
+        total += _binomial_term(n, k, p, q)
     return min(total, 1.0)
+
+
+@functools.lru_cache(maxsize=256)
+def _tail_flip_table(
+    n: int, t: int, ber: float
+) -> Tuple[float, Optional[np.ndarray]]:
+    """The Monte Carlo's view of one word of ``n`` bits at ``ber``:
+    ``(P[K > t], cdf)`` for the flip count ``K ~ Binomial(n, ber)``,
+    where ``cdf[i] = P[K <= t + 1 + i | K > t]`` (its last entry exactly
+    1.0).  ``cdf`` is ``None`` when no word can exceed ``t`` flips.
+    Cached per ``(n, t, ber)``; the array is read-only."""
+    tail = _binomial_tail(n, ber, t + 1)
+    if tail == 0.0:
+        return tail, None
+    q = 1.0 - ber
+    cdf = np.cumsum([_binomial_term(n, k, ber, q) for k in range(t + 1, n + 1)])
+    cdf /= cdf[-1]
+    cdf.flags.writeable = False
+    return tail, cdf
 
 
 class EccCode:
@@ -849,39 +876,32 @@ def make_code(name: str, data_bits: int = 64) -> EccCode:
     return cls(data_bits)
 
 
-def _skip_data_draw(rng: np.random.Generator, values: int) -> None:
-    """Leave ``rng`` exactly where ``rng.integers(0, 2, size=values)``
-    would, without drawing the values.
+def _floyd_patterns(
+    flips: np.ndarray, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """``(len(flips), n)`` int8 error patterns, one row per entry of
+    ``flips``, each with that many ones at distinct, uniformly random
+    positions (rows in decreasing order of their flip count).
 
-    At the default int64 dtype numpy takes each value in ``[0, 2)`` from
-    one ``next_uint32``, and PCG64 serves those from the halves of its
-    64-bit words: a pending upper half first, then the lower and upper
-    half of each fresh word.  So the skip is an ``advance`` over all but
-    the last fresh word, one ``random_raw`` for that word, and the
-    half-word buffer (``has_uint32``/``uinteger``) set as the draw leaves
-    it.  After an even count that buffer still holds the stale upper
-    half of the last word, which the state dict also compares.  Only
-    PCG64 is accepted (every sweep-engine stream is one); any other bit
-    generator raises ``TypeError``.
+    Floyd's algorithm for every row at once: step ``s`` sets, in each row
+    with ``K > s`` flips, a uniform position in ``[0, j]`` with
+    ``j = n - K + s``, or ``j`` itself if that position is already set.
+    The position is ``floor(u * (j + 1))`` of a uniform double ``u``.
     """
-    bit_gen = rng.bit_generator
-    if not isinstance(bit_gen, np.random.PCG64):
-        raise TypeError(
-            f"the ECC Monte Carlo needs a PCG64 stream, got "
-            f"{type(bit_gen).__name__}"
-        )
-    state = bit_gen.state
-    fresh = values - state["has_uint32"]
-    upper = state["uinteger"]
-    if fresh > 0:
-        words = (fresh + 1) // 2
-        if words > 1:
-            bit_gen.advance(words - 1)
-        upper = int(bit_gen.random_raw()) >> 32
-    state = bit_gen.state
-    state["has_uint32"] = fresh % 2
-    state["uinteger"] = upper
-    bit_gen.state = state
+    # Largest K first, so the rows still placing flips at step s are a
+    # prefix of the matrix.
+    flips = np.sort(flips)[::-1]
+    patterns = np.zeros((flips.size, n), dtype=np.int8)
+    flat = patterns.reshape(-1)
+    row_start = np.arange(0, flips.size * n, n)
+    first_top = row_start + n - flips  # flat index of j = n - K
+    for step in range(int(flips.max(initial=0))):
+        active = int(np.count_nonzero(flips > step))
+        start = row_start[:active]
+        top = first_top[:active] + step
+        pick = start + (rng.random(active) * (top - start + 1)).astype(np.intp)
+        flat[np.where(flat[pick] != 0, top, pick)] = 1
+    return patterns
 
 
 def _mc_block(
@@ -890,30 +910,42 @@ def _mc_block(
     code: EccCode,
     ber: float,
 ) -> np.ndarray:
-    """One Monte Carlo block of ``count`` stored words under random bit
-    flips at ``ber``; returns the per-word failure flags.  Module-level so
-    the sweep engine's process backend can pickle it.
+    """One Monte Carlo block of ``count`` stored words under independent
+    random bit flips at ``ber``; returns the per-word failure flags.
+    Module-level so the sweep engine's process backend can pickle it.
 
     Because every :class:`EccCode` is linear with a syndrome decoder, a
     word ``c ^ e`` fails exactly when decoding the bare error pattern
     ``e`` reports :data:`STATUS_DETECTED` or leaves nonzero data bits, so
-    nothing is encoded.  A word with at most ``code.correctable_random``
-    flips is always corrected, so only the rows with more flips are
-    decoded.  The random data of the encode -> decode form is never drawn:
-    :func:`_skip_data_draw` moves the stream past it, so flags and
-    generator state are bit-identical to encoding random data, flipping
-    it and decoding the whole block (the test-suite oracle).  ``rng``
-    must be backed by PCG64.
+    nothing is encoded.  A word with at most ``t = code.correctable_random``
+    flips is always corrected, so only the words with more flips are
+    drawn at all, each from the exact law of independent per-bit flips:
+
+    1. the number of candidates ``m ~ Binomial(count, P[K > t])``;
+    2. each candidate's flip count ``K``, Binomial(n, ber) conditioned on
+       ``K > t``, by inverse CDF over :func:`_tail_flip_table`;
+    3. ``K`` distinct flip positions per candidate by Floyd's algorithm
+       (:func:`_floyd_patterns`), all candidates one step at a time,
+       written straight into the ``m x n`` pattern matrix;
+    4. one :meth:`EccCode.decode_block` of the ``m`` patterns, whose
+       outcomes land on a uniformly drawn ``m``-subset of the words.
+
+    So each flag is an independent Bernoulli draw of the word-failure
+    probability, as if every bit of every word had been drawn, while the
+    random draws scale with the candidates instead of ``count x n``.
     """
     n = code.codeword_bits
-    _skip_data_draw(rng, count * code.data_bits)
-    flips = rng.random((count, n)) < ber
-    flips_per_row = np.bincount(np.flatnonzero(flips) // n, minlength=count)
-    rows = np.flatnonzero(flips_per_row > code.correctable_random)
+    t = code.correctable_random
     failed = np.zeros(count, dtype=bool)
-    if rows.size:
-        decoded, status = code.decode_block(flips[rows].view(np.int8))
-        failed[rows] = (status == STATUS_DETECTED) | decoded.any(axis=1)
+    tail, cdf = _tail_flip_table(n, t, ber)
+    m = 0 if cdf is None else int(rng.binomial(count, tail))
+    if m == 0:
+        return failed
+    flips = t + 1 + np.searchsorted(cdf, rng.random(m), side="right")
+    decoded, status = code.decode_block(_floyd_patterns(flips, n, rng))
+    failed[rng.choice(count, m, replace=False)] = (
+        status == STATUS_DETECTED
+    ) | decoded.any(axis=1)
     return failed
 
 
@@ -979,13 +1011,16 @@ class EccAnalysis:
         data differs from the original (syndrome aliasing on >= 3 flips).
 
         The default path batches trials into blocks (:func:`_mc_block`,
-        which skips the discarded data draw and decodes only the error
-        patterns of words with more than ``t`` flips) and fans the blocks
-        out over the sweep engine
+        which draws and decodes only the error patterns of words with
+        more than ``t`` flips, from their exact distribution) and fans the
+        blocks out over the sweep engine
         (:func:`repro.utils.parallel.run_blocks`): one spawned stream per
         block, so the rate is bit-identical for a given ``rng`` at any
-        ``workers`` count.  :func:`_mc_failure_rate_scalar` keeps the
-        original word-at-a-time loop as the test and benchmark reference.
+        ``workers`` count.  The rate has the law of ``trials`` independent
+        per-word draws, so its standard error is
+        ``sqrt(rate * (1 - rate) / trials)``.  :func:`_mc_failure_rate_scalar`
+        keeps the original word-at-a-time loop as the test and benchmark
+        reference.
         """
         check_probability("ber", ber)
         if trials < 1:

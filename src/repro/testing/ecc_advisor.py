@@ -19,6 +19,7 @@ per-parameter sensitivities — bit-identical at any ``workers`` count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -234,9 +235,14 @@ def advise_ecc(
     ``mc_words`` words (plus an endurance wear-out population for
     endurance-limited scenarios); statistical fields are averaged over
     trials in flat job order, so rows are bit-identical at any
-    ``workers`` count.  ``words_per_array`` scales the check-bit area of
-    one protected array.  Telemetry lands in the caller's scope, folded
-    over jobs in flat job order.
+    ``workers`` count.  The Monte Carlo block
+    (:func:`repro.testing.ecc._mc_block`) draws only the words with more
+    flips than the code corrects, so a point costs in proportion to its
+    candidate failures.  ``word_failure_se`` is the standard error of
+    ``word_failure_rate`` over all ``trials * mc_words`` words,
+    ``sqrt(r (1 - r) / (trials * mc_words))``.  ``words_per_array``
+    scales the check-bit area of one protected array.  Telemetry lands in
+    the caller's scope, folded over jobs in flat job order.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -254,7 +260,7 @@ def advise_ecc(
                 f"{sorted(SCENARIOS)}"
             )
     for name in codes:
-        make_code(name, int(data_bits))  # validates the names up front
+        _cached_code(name, int(data_bits))  # validates the names up front
     for cell_yield in yields:
         if not 0.0 < float(cell_yield) <= 1.0:
             raise ValueError(
@@ -286,6 +292,10 @@ def advise_ecc(
             row[key] = float(
                 np.mean([trial_row[key] for trial_row in point_rows])
             )
+        rate = row["word_failure_rate"]
+        row["word_failure_se"] = math.sqrt(
+            rate * (1.0 - rate) / (len(point_rows) * mc_words)
+        )
         row["trials"] = len(point_rows)
         rows.append(row)
     return rows

@@ -111,6 +111,23 @@ class TestInjection:
             array.conductances()[2] == array.config.levels.g_max
         )
 
+    @pytest.mark.parametrize("fault_type", list(FaultType))
+    @pytest.mark.parametrize("row, col", [(-1, 0), (0, -1), (4, 0), (0, 4)])
+    def test_fault_outside_the_array_changes_nothing(self, fault_type, row, col):
+        # A negative index must not wrap around to a cell on the far edge.
+        array = _array(n=4)
+        injector = FaultInjector(array, rng=7)
+        g0 = array.conductances().copy()
+        state = injector._rng.bit_generator.state
+        with telemetry.scoped() as scope:
+            with pytest.raises(ValueError, match="outside 4x4"):
+                injector.inject_fault(Fault(fault_type, row, col))
+        assert np.array_equal(array.conductances(), g0)
+        assert array.fault_count() == 0
+        assert injector.fault_map.count == 0
+        assert injector._rng.bit_generator.state == state
+        assert "faults.injected_cells" not in scope.snapshot()["counters"]
+
     def test_fabrication_variation_shifts_but_not_sticks(self):
         array = _array()
         injector = FaultInjector(array, rng=7)

@@ -5,7 +5,15 @@ every code, ``encode_block``/``decode_block`` must be bit-identical to
 the scalar ``encode``/``decode`` loops — verified *exhaustively* over
 all 0-, 1- and 2-flip patterns (including the aliasing cases beyond the
 guaranteed capability) and over sampled 3-flip patterns.
+
+The Monte Carlo block ``_mc_block`` draws only the words with more than
+``t`` flips, so its stream differs from the full encode -> flip -> decode
+oracle: it is pinned within 4 standard errors of the exact failure
+probability (all ``2^n`` error patterns decoded at 8 data bits) and of
+the oracle's rate.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -20,7 +28,9 @@ from repro.testing.ecc import (
     STATUS_DETECTED,
     STATUS_OK,
     make_code,
+    _floyd_patterns,
     _mc_block,
+    _tail_flip_table,
 )
 
 ALL_CODES = sorted(CODES)
@@ -313,60 +323,54 @@ class TestLinearityContract:
         }
 
 
+def _agree_within_4se(failures_a, words_a, failures_b, words_b):
+    """Two Monte Carlo failure counts estimate the same probability to
+    within 4 standard errors of their difference (pooled rate)."""
+    pooled = (failures_a + failures_b) / (words_a + words_b)
+    se = np.sqrt(pooled * (1.0 - pooled) * (1.0 / words_a + 1.0 / words_b))
+    return abs(failures_a / words_a - failures_b / words_b) <= 4.0 * se
+
+
 class TestMonteCarloBlock:
-    """``_mc_block`` against the full encode -> flip -> decode oracle:
-    equal flags and equal generator state afterwards."""
+    """``_mc_block`` against the full encode -> flip -> decode oracle: the
+    same failure law, so the two rates agree within 4 standard errors."""
 
     @pytest.mark.parametrize("name", ALL_CODES)
     @pytest.mark.parametrize("data_bits", [8, 32, 64])
     @pytest.mark.parametrize("ber", [0.0, 1e-4, 1e-2, 0.2, 0.5, 1.0])
     def test_matches_full_codec(self, name, data_bits, ber):
         code = make_code(name, data_bits)
+        fast_failures = ref_failures = 0
         for seed in range(4):
-            fast_rng = np.random.default_rng(seed)
-            ref_rng = np.random.default_rng(seed)
-            fast = _mc_block(500, fast_rng, code, ber)
-            ref = _mc_block_full_codec(500, ref_rng, code, ber)
-            assert fast.dtype == ref.dtype
-            assert np.array_equal(fast, ref), f"seed {seed}"
-            assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
-
-    @pytest.mark.parametrize("name", ALL_CODES)
-    @pytest.mark.parametrize("data_bits", [7, 9, 13])
-    def test_odd_half_word_counts(self, name, data_bits):
-        # An odd ``count * data_bits`` leaves a pending upper half-word.
-        code = make_code(name, data_bits)
-        for seed, count in enumerate((1, 3, 499)):
-            fast_rng = np.random.default_rng(seed)
-            ref_rng = np.random.default_rng(seed)
-            fast = _mc_block(count, fast_rng, code, 0.05)
-            ref = _mc_block_full_codec(count, ref_rng, code, 0.05)
-            assert np.array_equal(fast, ref)
-            assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
-            assert fast_rng.integers(0, 2, size=5).tolist() == (
-                ref_rng.integers(0, 2, size=5).tolist()
+            fast = _mc_block(500, np.random.default_rng(seed), code, ber)
+            ref = _mc_block_full_codec(
+                500, np.random.default_rng(seed), code, ber
             )
+            assert fast.dtype == ref.dtype and fast.shape == ref.shape
+            fast_failures += int(fast.sum())
+            ref_failures += int(ref.sum())
+        assert _agree_within_4se(fast_failures, 2000, ref_failures, 2000)
+        if ber in (0.0, 1.0):
+            assert fast_failures == ref_failures
 
-    @pytest.mark.parametrize("name", ALL_CODES)
-    @pytest.mark.parametrize("count", [1, 2, 499, 500])
-    def test_enters_with_a_pending_half_word(self, name, count):
-        code = make_code(name, 9)
-        fast_rng = np.random.default_rng(11)
-        ref_rng = np.random.default_rng(11)
-        for gen in (fast_rng, ref_rng):
-            gen.integers(0, 2)
-            assert gen.bit_generator.state["has_uint32"] == 1
-        fast = _mc_block(count, fast_rng, code, 0.05)
-        ref = _mc_block_full_codec(count, ref_rng, code, 0.05)
-        assert np.array_equal(fast, ref)
-        assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+    def test_same_generator_state_same_flags(self):
+        code = make_code("secded", 32)
+        a = _mc_block(4096, np.random.default_rng(5), code, 0.03)
+        b = _mc_block(4096, np.random.default_rng(5), code, 0.03)
+        assert np.array_equal(a, b)
+        assert 0 < a.sum() < a.size
 
-    def test_rejects_a_non_pcg64_generator(self):
-        rng = np.random.Generator(np.random.MT19937(0))
-        with pytest.raises(TypeError, match="PCG64"):
-            _mc_block(10, rng, make_code("secded", 8), 0.01)
+    def test_failures_land_anywhere_in_the_block(self):
+        # Each word's flag has the same law: the failures are not bunched
+        # at the front of the block.
+        code = make_code("secded", 8)
+        count = 100_000
+        failed = _mc_block(count, np.random.default_rng(6), code, 0.05)
+        front, back = failed[: count // 2].sum(), failed[count // 2 :].sum()
+        assert front > 0 and back > 0
+        assert _agree_within_4se(front, count // 2, back, count // 2)
 
-    def test_advisor_rows_unchanged(self, monkeypatch):
+    def test_advisor_rows_agree_with_full_codec(self, monkeypatch):
         from repro.testing import ecc_advisor
 
         kw = dict(codes=ALL_CODES, yields=(0.999, 0.97), mc_words=300,
@@ -381,4 +385,152 @@ class TestMonteCarloBlock:
         monkeypatch.setattr(ecc_advisor, "_mc_block", oracle)
         reference = ecc_advisor.advise_ecc(**kw)
         assert calls
-        assert fast == reference
+        statistical = {"word_failure_rate", "coverage", "word_failure_se"}
+        words = kw["trials"] * kw["mc_words"]
+        assert len(fast) == len(reference)
+        for row, ref in zip(fast, reference):
+            assert set(row) == set(ref)
+            for key in set(row) - statistical:
+                assert row[key] == ref[key], key
+            assert row["coverage"] == pytest.approx(
+                1.0 - row["word_failure_rate"], abs=1e-15
+            )
+            assert _agree_within_4se(
+                round(row["word_failure_rate"] * words), words,
+                round(ref["word_failure_rate"] * words), words,
+            ), (row["code"], row["cell_yield"], row["scenario"])
+
+
+def _exact_failure_counts(code):
+    """``A[w]``: how many of the error patterns of weight ``w`` make a
+    stored word fail, by decoding all ``2^n`` patterns."""
+    n = code.codeword_bits
+    patterns = (
+        (np.arange(1 << n)[:, None] >> np.arange(n)[None, :]) & 1
+    ).astype(np.int8)
+    decoded, status = code.decode_block(patterns)
+    failed = (status == STATUS_DETECTED) | decoded.any(axis=1)
+    return np.bincount(patterns.sum(axis=1)[failed], minlength=n + 1)
+
+
+def _exact_failure_probability(counts, ber):
+    n = counts.size - 1
+    weights = np.arange(n + 1)
+    return float(np.sum(counts * ber ** weights * (1.0 - ber) ** (n - weights)))
+
+
+class TestExactReference:
+    """``_mc_block`` pinned to the exact word-failure probability of each
+    code at ``data_bits = 8`` (every one of the ``2^n`` error patterns
+    decoded, ``n <= 18``)."""
+
+    @pytest.fixture(scope="class")
+    def exact(self):
+        return {
+            name: _exact_failure_counts(make_code(name, 8))
+            for name in ALL_CODES
+        }
+
+    @pytest.mark.parametrize("name", ALL_CODES)
+    def test_reference_counts_are_consistent(self, name, exact):
+        code = make_code(name, 8)
+        counts = exact[name]
+        t = code.correctable_random
+        assert code.codeword_bits <= 18
+        assert not counts[: t + 1].any()  # up to t flips always corrected
+        assert counts[-1] == 1  # every bit flipped fails
+        assert _exact_failure_probability(counts, 0.0) == 0.0
+        assert _exact_failure_probability(counts, 1.0) == 1.0
+
+    @pytest.mark.parametrize("name", ALL_CODES)
+    @pytest.mark.parametrize("ber", [1e-3, 1e-2, 0.05, 0.2, 0.5])
+    def test_failure_rate_within_4se_of_exact(self, name, ber, exact):
+        code = make_code(name, 8)
+        rng = np.random.default_rng(2024)
+        # Two million words where failures are rare: a block costs what
+        # its candidates cost, not its word count.
+        blocks, block_words = 10, (200_000 if ber <= 0.05 else 20_000)
+        failures = sum(
+            int(_mc_block(block_words, rng, code, ber).sum())
+            for _ in range(blocks)
+        )
+        words = blocks * block_words
+        p = _exact_failure_probability(exact[name], ber)
+        se = np.sqrt(p * (1.0 - p) / words)
+        assert abs(failures / words - p) <= 4.0 * se, (failures, p)
+
+    @pytest.mark.parametrize("name", ALL_CODES)
+    def test_no_flips_fail_nothing_all_flips_fail_everything(self, name):
+        code = make_code(name, 8)
+        rng = np.random.default_rng(0)
+        assert not _mc_block(1000, rng, code, 0.0).any()
+        assert _mc_block(1000, rng, code, 1.0).all()
+
+
+class TestFloydPatterns:
+    """The flip positions ``_mc_block`` decodes: distinct and uniform."""
+
+    def test_rows_carry_their_flip_counts(self):
+        rng = np.random.default_rng(8)
+        flips = rng.integers(0, 14, size=500)
+        patterns = _floyd_patterns(flips, 13, rng)
+        assert patterns.dtype == np.int8 and patterns.shape == (500, 13)
+        assert set(np.unique(patterns).tolist()) <= {0, 1}
+        assert np.array_equal(patterns.sum(axis=1), np.sort(flips)[::-1])
+        assert _floyd_patterns(np.array([], dtype=np.int64), 13, rng).shape == (0, 13)
+
+    def test_every_position_equally_likely(self):
+        n, rows = 13, 50_000
+        rng = np.random.default_rng(9)
+        flips = rng.integers(1, n + 1, size=rows)
+        hits = _floyd_patterns(flips, n, rng).sum(axis=0)
+        share = flips / n
+        expected = share.sum()
+        se = np.sqrt(np.sum(share * (1.0 - share)))
+        assert np.all(np.abs(hits - expected) <= 4.0 * se), hits
+
+    def test_every_pair_equally_likely(self):
+        # Two flips: all C(n, 2) pairs, adjacent ones included (which
+        # SEC-DAEC corrects), come up equally often.
+        n, rows = 13, 78_000
+        rng = np.random.default_rng(10)
+        patterns = _floyd_patterns(np.full(rows, 2), n, rng)
+        first = patterns.argmax(axis=1)
+        second = n - 1 - patterns[:, ::-1].argmax(axis=1)
+        counts = np.bincount(first * n + second, minlength=n * n)
+        i, j = np.triu_indices(n, 1)
+        pairs = counts[i * n + j]
+        assert pairs.sum() == rows
+        p = 1.0 / pairs.size
+        assert np.all(np.abs(pairs - rows * p) <= 4.0 * np.sqrt(rows * p * (1 - p)))
+
+
+class TestTailFlipTable:
+    """The truncated flip-count law ``_mc_block`` samples ``K`` from."""
+
+    @pytest.mark.parametrize("ber", [1e-4, 1e-2, 0.3, 0.5])
+    def test_wide_word_cdf_matches_scipy(self, ber):
+        # 1036-bit SEC-DED words: C(1036, k) overflows a float for the
+        # middle k, so those terms take the log-space path.
+        from scipy.stats import binom
+
+        code = HammingSecDed(1024)
+        n, t = code.codeword_bits, code.correctable_random
+        with pytest.raises(OverflowError):
+            float(math.comb(n, n // 2))
+        tail, cdf = _tail_flip_table(n, t, ber)
+        pmf = binom.pmf(np.arange(t + 1, n + 1), n, ber)
+        assert tail == pytest.approx(binom.sf(t, n, ber), rel=1e-9)
+        assert cdf.shape == (n - t,)
+        assert cdf[-1] == 1.0
+        assert np.all(np.diff(cdf) >= 0.0)
+        assert np.allclose(cdf, np.cumsum(pmf) / pmf.sum(), rtol=1e-9, atol=1e-15)
+        assert not cdf.flags.writeable
+
+    def test_every_bit_flipped_puts_all_mass_on_n(self):
+        tail, cdf = _tail_flip_table(1036, 1, 1.0)
+        assert tail == 1.0
+        assert cdf[-1] == 1.0 and not cdf[:-1].any()
+
+    def test_no_candidates_without_flips(self):
+        assert _tail_flip_table(72, 1, 0.0) == (0.0, None)
