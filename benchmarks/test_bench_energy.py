@@ -38,6 +38,8 @@ def test_value_aware_pricing_overhead(run_once):
     of static pricing on the VMM hot loop."""
     from repro.core.cim_core import CIMCore, CIMCoreParams
     from repro.costs import use_model
+    from repro.utils import telemetry
+    from repro.utils.telemetry import RunReport
 
     params = CIMCoreParams(rows=64, logical_cols=32)
     weights = np.random.default_rng(5).uniform(-1, 1, (64, 32))
@@ -45,14 +47,14 @@ def test_value_aware_pricing_overhead(run_once):
     reps = 5
 
     def run_mode(model):
-        # Fresh core per mode: programming energy charges at program
-        # time and the ledger should isolate one pricing model.
+        # Fresh core and scope per mode: programming energy charges at
+        # program time and the scope should isolate one pricing model.
         core = CIMCore(params, rng=7)
-        with use_model(model):
+        with use_model(model), telemetry.scoped() as scope:
             core.program_weights(weights)
             for _ in range(reps):
                 core.vmm_batch(x)
-        return core.costs.total.energy
+        return RunReport.from_counters(scope.counters).total_energy
 
     def experiment():
         # Warm-up outside the timed region (imports, allocator).

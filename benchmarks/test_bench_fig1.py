@@ -10,32 +10,38 @@ import numpy as np
 
 from repro.core.cim_core import CIMCore, CIMCoreParams
 from repro.core.vonneumann import VonNeumannMachine
+from repro.utils import telemetry
+from repro.utils.telemetry import RunReport
 
 from conftest import print_table
 
 
 def _von_neumann_workload():
+    """The workload's run report (the telemetry scope it ran in)."""
     gen = np.random.default_rng(0)
     machine = VonNeumannMachine()
     w = gen.uniform(-1, 1, (128, 64))
     batch = gen.uniform(0, 1, (16, 128))
-    machine.run_workload(batch, w)
-    return machine
+    with telemetry.scoped() as scope:
+        machine.run_workload(batch, w)
+    return RunReport.from_counters(scope.counters)
 
 
 def _cim_workload():
+    """The workload's run report (the telemetry scope it ran in)."""
     gen = np.random.default_rng(0)
     core = CIMCore(CIMCoreParams(rows=128, logical_cols=64), rng=1)
-    core.program_weights(gen.uniform(-1, 1, (128, 64)))
-    for x in gen.uniform(0, 1, (16, 128)):
-        core.vmm(x, noisy=False)
-    return core
+    with telemetry.scoped() as scope:
+        core.program_weights(gen.uniform(-1, 1, (128, 64)))
+        for x in gen.uniform(0, 1, (16, 128)):
+            core.vmm(x, noisy=False)
+    return RunReport.from_counters(scope.counters)
 
 
 def test_fig1_von_neumann_movement_dominates(run_once):
-    machine = run_once(_von_neumann_workload)
-    movement = machine.costs.energy_fraction("data_movement")
-    compute = machine.costs.energy_fraction("compute")
+    shares = run_once(_von_neumann_workload).energy_fractions()
+    movement = shares["data_movement"]
+    compute = shares["compute"]
     print_table(
         "Fig 1(a): von-Neumann energy split",
         [
@@ -51,23 +57,21 @@ def test_fig1_von_neumann_movement_dominates(run_once):
 def test_fig1_cim_removes_the_bottleneck(run_once):
     vn = _von_neumann_workload()
     cim = run_once(_cim_workload)
-    vn_total = vn.costs.total
-    cim_total = cim.costs.total
     rows = [
         {
             "machine": "von-Neumann (COM-F)",
-            "energy_uJ": vn_total.energy * 1e6,
-            "latency_us": vn_total.latency * 1e6,
-            "bytes_moved": vn_total.data_moved,
+            "energy_uJ": vn.total_energy * 1e6,
+            "latency_us": vn.total_latency * 1e6,
+            "bytes_moved": vn.total_data_moved,
         },
         {
             "machine": "CIM core",
-            "energy_uJ": cim_total.energy * 1e6,
-            "latency_us": cim_total.latency * 1e6,
+            "energy_uJ": cim.total_energy * 1e6,
+            "latency_us": cim.total_latency * 1e6,
             "bytes_moved": 16 * (128 + 64),  # I/O vectors only
         },
     ]
     print_table("Fig 1: same workload, both architectures", rows)
     # CIM wins on energy and latency by a large factor on this workload.
-    assert cim_total.energy < vn_total.energy / 10
-    assert cim_total.latency < vn_total.latency / 10
+    assert cim.total_energy < vn.total_energy / 10
+    assert cim.total_latency < vn.total_latency / 10

@@ -11,6 +11,8 @@ Run:  python examples/quickstart.py
 import numpy as np
 
 from repro.core import CIMCore, CIMCoreParams
+from repro.utils import telemetry
+from repro.utils.telemetry import RunReport
 
 
 def main():
@@ -24,31 +26,29 @@ def main():
     weights = rng.uniform(-1, 1, (64, 32))
     core.program_weights(weights)
 
-    # One analog VMM: all 64x32 MACs in a single array evaluation.
-    x = rng.uniform(0, 1, 64)
-    y = core.vmm(x)
+    # Every charge lands in the current telemetry scope; this one holds
+    # the inference phase alone (programming is a one-time cost
+    # amortized over the deployment).
+    with telemetry.scoped() as inference:
+        # One analog VMM: all 64x32 MACs in a single array evaluation.
+        x = rng.uniform(0, 1, 64)
+        y = core.vmm(x)
+        # Run a batch so the steady-state (per-VMM) energy picture emerges.
+        for _ in range(99):
+            core.vmm(rng.uniform(0, 1, 64))
     reference = x @ weights
 
     print("CIM core VMM (64x32, 8-bit ADC)")
     print(f"  max |error| vs digital reference: {np.abs(y - reference).max():.4f}")
     print(f"  output correlation:               {np.corrcoef(y, reference)[0, 1]:.6f}")
 
-    # Run a batch so the steady-state (per-VMM) energy picture emerges;
-    # programming is a one-time cost amortized over the deployment.
-    for _ in range(99):
-        core.vmm(rng.uniform(0, 1, 64))
-
     print("\nEnergy breakdown (100 VMMs; programming amortizes away):")
-    steady = {
-        k: v
-        for k, v in core.costs.by_category.items()
-        if k != "programming"
-    }
-    steady_total = sum(c.energy for c in steady.values())
-    for category, cost in sorted(steady.items()):
+    report = RunReport.from_counters(inference.counters)
+    shares = report.energy_fractions()
+    for category, cost in sorted(report.categories.items()):
         print(
-            f"  {category:<12} {cost.energy * 1e12:10.3f} pJ   "
-            f"({cost.energy / steady_total:5.1%})"
+            f"  {category:<12} {cost['energy'] * 1e12:10.3f} pJ   "
+            f"({shares[category]:5.1%})"
         )
     print("  -> the ADC dominates, as Fig 5 of the paper reports")
 

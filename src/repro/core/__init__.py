@@ -2,8 +2,6 @@
 
 * :mod:`repro.core.classification` — the Fig 2 taxonomy (CIM-A, CIM-P,
   COM-N, COM-F) and the qualitative Table I attributes;
-* :mod:`repro.core.metrics` — energy/latency/area accounting shared by
-  the machine models;
 * :mod:`repro.core.vonneumann` — the von-Neumann reference machine of
   Fig 1(a), where every operand crosses the memory bus;
 * :mod:`repro.core.cim_core` — the CIM core of Fig 4(b): crossbar +
@@ -23,7 +21,6 @@ from repro.core.classification import (
     classify,
     table_i_rows,
 )
-from repro.core.metrics import OperationCost, CostAccumulator
 from repro.core.vonneumann import VonNeumannMachine, VonNeumannParams
 from repro.core.cim_core import CIMCore, CIMCoreParams
 from repro.core.accelerator import CIMAccelerator, AcceleratorParams
@@ -53,8 +50,6 @@ __all__ = [
     "TABLE_I",
     "classify",
     "table_i_rows",
-    "OperationCost",
-    "CostAccumulator",
     "VonNeumannMachine",
     "VonNeumannParams",
     "CIMCore",

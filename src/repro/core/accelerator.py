@@ -19,7 +19,6 @@ import numpy as np
 from repro.core.cim_core import CIMCore, CIMCoreParams
 from repro.devices.variability import VariabilityStack
 from repro.utils.rng import RNGLike, spawn_rngs
-from repro.utils.telemetry import RunReport
 
 #: A 2-D ``(row_slice, col_slice)`` index.
 _Index = Tuple[slice, slice]
@@ -168,17 +167,6 @@ class CIMAccelerator:
                 partial = self.tiles[bi][bj].vmm_batch(x_block, noisy=noisy)
                 y[:, c0 : c0 + p.tile_cols] += partial
         return y[:, :cols]
-
-    def report(self, label: str = "cim_accelerator") -> RunReport:
-        """Structured run report reduced over all tiles in grid order."""
-        return RunReport.reduce(
-            [
-                core.report(label=label)
-                for tile_row in self.tiles
-                for core in tile_row
-            ],
-            label=label,
-        )
 
     def inject_yield_faults(self, cell_yield: float, rng: RNGLike = None) -> float:
         """Inject stuck-at-0 faults on every tile for ``cell_yield``;

@@ -10,9 +10,11 @@ Executes the paper's two in-memory computation styles:
   sense amplifier thresholds the summed bitline current
   (:meth:`CIMCore.scouting_or` etc.).
 
-Every operation charges a :class:`~repro.core.metrics.CostAccumulator`
-with component-model energy/latency, so machine-level comparisons (Fig 1,
-Table I) fall out of the same code path that computes the numbers.
+Every operation charges its component-model energy/latency through the
+active energy model into the current telemetry scope — the one cost
+ledger — so machine-level comparisons (Fig 1, Table I) fall out of the
+same code path that computes the numbers: a caller reads a core's costs
+from the :func:`~repro.utils.telemetry.scoped` block it ran in.
 """
 
 from __future__ import annotations
@@ -22,13 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-# Submodule-object import (not ``from repro.costs import ...``): the costs
-# package imports core.metrics, so during a circular import this module may
-# execute while repro.costs is still initializing — binding the module
-# object and deferring attribute access to call time keeps both import
-# orders working.
 import repro.costs.models as energy_models
-from repro.core.metrics import CostAccumulator
 from repro.crossbar.array import CrossbarArray, CrossbarConfig
 from repro.crossbar.mapping import DifferentialPairMapping, InputEncoder
 from repro.devices.reram import ConductanceLevels
@@ -39,7 +35,6 @@ from repro.periphery.drivers import DriverConfig, RowDecoder, WordlineDriver
 from repro.periphery.sense_amp import SenseAmpConfig, SenseAmplifier
 from repro.utils import telemetry
 from repro.utils.rng import RNGLike, ensure_rng
-from repro.utils.telemetry import RunReport
 from repro.utils.validation import check_positive
 
 
@@ -102,7 +97,6 @@ class CIMCore:
         self.decoder = RowDecoder(p.rows)
         self.driver = WordlineDriver(p.rows)
         self.sense_amp = SenseAmplifier(SenseAmpConfig(), rng=gen)
-        self.costs = CostAccumulator()
         self._programmed = False
         self._ir_solver = None
         if p.wire_resistance > 0:
@@ -133,7 +127,6 @@ class CIMCore:
         # active energy model: static reproduces the historical constant,
         # value-aware keys on the target conductance states.
         energy_models.active_model().charge_programming(
-            self.costs,
             n_cells=targets.size,
             iterations=iterations,
             targets=targets,
@@ -213,7 +206,6 @@ class CIMCore:
         settle_power = sum(self.array.dynamic_read_power(voltages).tolist())
         model = energy_models.active_model()
         model.charge_dac(
-            self.costs,
             self.dac,
             rows=p.rows,
             batch=batch,
@@ -221,20 +213,16 @@ class CIMCore:
             v_ref=p.v_read,
         )
         model.charge_array(
-            self.costs,
             settle_power=settle_power,
             settle_time=p.array_settle_time,
             batch=batch,
             column_volts=volts,
             v_fs=self.adc.config.v_max,
         )
-        model.charge_adc(
-            self.costs, self.adc, n_cols=n_cols, batch=batch, codes=codes
-        )
+        model.charge_adc(self.adc, n_cols=n_cols, batch=batch, codes=codes)
         # Wordline-driver energy: previously accrued only in the driver's
         # side counter and never reached any breakdown (the driver leak).
         model.charge_driver(
-            self.costs,
             self.driver.config,
             activations=self.driver.activations - activations_before,
             batch=batch,
@@ -262,7 +250,7 @@ class CIMCore:
         rows would re-draw their write variation (corrupting stored data)
         and, worse, make a full-array reprogram free — the cost leak this
         method used to have.  Exactly one row's worth of programming
-        energy/latency is charged to :attr:`costs`.
+        energy/latency is charged.
         """
         bits = np.asarray(bits)
         if bits.shape != (self.array.cols,):
@@ -273,7 +261,6 @@ class CIMCore:
         targets = np.where(bits > 0, levels.g_max, levels.g_min)
         self.array.program_row(row, targets)
         energy_models.active_model().charge_programming(
-            self.costs,
             n_cells=self.array.cols,
             targets=targets,
             g_min=levels.g_min,
@@ -306,21 +293,15 @@ class CIMCore:
                 below = not self.sense_amp.compare(currents[j], 1.5 * i_lrs)
                 out[j] = int(above and below)
         model = energy_models.active_model()
-        model.charge_sense(
-            self.costs, self.sense_amp.config, n_senses=self.array.cols
-        )
+        model.charge_sense(self.sense_amp.config, n_senses=self.array.cols)
         model.charge_array(
-            self.costs,
             settle_power=self.array.dynamic_read_power(voltages),
             settle_time=p.array_settle_time,
         )
         # Decoder + driver charges (Section II-B2 periphery; previously
         # the driver's energy lived only in its side counter).
-        model.charge_decoder(
-            self.costs, self.decoder.config, n_rows=len(rows)
-        )
+        model.charge_decoder(self.decoder.config, n_rows=len(rows))
         model.charge_driver(
-            self.costs,
             self.driver.config,
             activations=self.driver.activations - activations_before,
             voltages=voltages,
@@ -364,34 +345,3 @@ class CIMCore:
             "sense_amp": self.sense_amp.config.area * n_cols,
             "crossbar": energy_models.CELL_AREA * p.rows * n_cols,
         }
-
-    def side_counters(self) -> dict:
-        """Deterministic side counters not carried by :attr:`costs`."""
-        counters = {
-            "crossbar.read_ops": float(self.array.read_operations),
-            "crossbar.write_ops": float(self.array.write_operations),
-            "driver.activations": float(self.driver.activations),
-            "driver.energy": self.driver.energy_consumed,
-            "sense_amp.compares": float(self.sense_amp.sense_count),
-        }
-        if self._ir_solver is not None:
-            counters["solver.cache_hits"] = float(self._ir_solver.cache_hits)
-            counters["solver.cache_misses"] = float(
-                self._ir_solver.cache_misses
-            )
-            counters["solver.factorizations"] = float(
-                self._ir_solver.factorizations
-            )
-            counters["solver.cache_evictions"] = float(
-                self._ir_solver.cache_evictions
-            )
-        return counters
-
-    def report(self, label: str = "cim_core") -> RunReport:
-        """Structured run report: cost breakdown + side counters + area."""
-        return RunReport.from_cost_accumulator(
-            self.costs,
-            label=label,
-            counters=self.side_counters(),
-            area=self.area_breakdown(),
-        )

@@ -23,7 +23,9 @@ from repro.core.classification import (
 import repro.costs.models as energy_models
 from repro.core.cim_core import CIMCore, CIMCoreParams
 from repro.core.vonneumann import VonNeumannMachine, VonNeumannParams
+from repro.utils import telemetry
 from repro.utils.rng import RNGLike, ensure_rng
+from repro.utils.telemetry import RunReport
 from repro.utils.validation import check_positive
 
 
@@ -104,16 +106,17 @@ class ArchitectureComparator:
             CIMCoreParams(rows=w.matrix_rows, logical_cols=w.matrix_cols),
             rng=self._rng,
         )
-        core.program_weights(weights)
-        for x in batch:
-            core.vmm(x, noisy=False)
-        total = core.costs.total
+        with telemetry.nested() as scope:
+            core.program_weights(weights)
+            for x in batch:
+                core.vmm(x, noisy=False)
+        report = RunReport.from_counters(scope.counters)
         moved = (w.matrix_rows + w.matrix_cols) * w.batch  # vectors only
         m = ArchitectureMeasurement(
             architecture=ArchitectureClass.CIM_A,
             data_moved_bytes=float(moved),
-            energy=total.energy,
-            latency=total.latency,
+            energy=report.total_energy,
+            latency=report.total_latency,
             macs=float(w.macs),
         )
         # All operands (weights + inputs) are touched in place each VMM.
@@ -132,27 +135,24 @@ class ArchitectureComparator:
             CIMCoreParams(rows=w.matrix_rows, logical_cols=w.matrix_cols),
             rng=self._rng,
         )
-        core.program_weights(weights)
         # Bit-serial: 8 input bit-planes per VMM, each a separate analog
         # evaluation sensed in the periphery, plus digital shift-add.
-        input_bits = 8
         model = energy_models.active_model()
-        for x in batch:
-            planes = core.encoder.bit_serial_planes(x)
-            for _, plane in planes:
-                core.array.vmm(plane)
-                model.charge_sense(
-                    core.costs,
-                    core.sense_amp.config,
-                    n_senses=core.array.cols,
-                )
-        total = core.costs.total
+        with telemetry.nested() as scope:
+            core.program_weights(weights)
+            for x in batch:
+                for _, plane in core.encoder.bit_serial_planes(x):
+                    core.array.vmm(plane)
+                    model.charge_sense(
+                        core.sense_amp.config, n_senses=core.array.cols
+                    )
+        report = RunReport.from_counters(scope.counters)
         moved = (w.matrix_rows + w.matrix_cols) * w.batch
         m = ArchitectureMeasurement(
             architecture=ArchitectureClass.CIM_P,
             data_moved_bytes=float(moved),
-            energy=total.energy,
-            latency=total.latency,
+            energy=report.total_energy,
+            latency=report.total_latency,
             macs=float(w.macs),
         )
         m._operands = float(
@@ -172,13 +172,14 @@ class ArchitectureComparator:
                 alu_parallelism=32,
             )
         )
-        machine.run_workload(batch, weights, weights_resident=True)
-        total = machine.costs.total
+        with telemetry.nested() as scope:
+            machine.run_workload(batch, weights, weights_resident=True)
+        report = RunReport.from_counters(scope.counters)
         m = ArchitectureMeasurement(
             architecture=ArchitectureClass.COM_N,
-            data_moved_bytes=total.data_moved,
-            energy=total.energy,
-            latency=total.latency,
+            data_moved_bytes=report.total_data_moved,
+            energy=report.total_energy,
+            latency=report.total_latency,
             macs=float(w.macs),
         )
         # The ALU consumes every operand per VMM even when the weight
@@ -194,13 +195,14 @@ class ArchitectureComparator:
         w = self.workload
         weights, batch = self._workload_data()
         machine = VonNeumannMachine()
-        machine.run_workload(batch, weights, weights_resident=False)
-        total = machine.costs.total
+        with telemetry.nested() as scope:
+            machine.run_workload(batch, weights, weights_resident=False)
+        report = RunReport.from_counters(scope.counters)
         m = ArchitectureMeasurement(
             architecture=ArchitectureClass.COM_F,
-            data_moved_bytes=total.data_moved,
-            energy=total.energy,
-            latency=total.latency,
+            data_moved_bytes=report.total_data_moved,
+            energy=report.total_energy,
+            latency=report.total_latency,
             macs=float(w.macs),
         )
         m._operands = float(

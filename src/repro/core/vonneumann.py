@@ -4,8 +4,10 @@
 von-Neumann architecture ... spend excessive time and energy in moving
 massive amount of data between the memory and data paths."  This machine
 model makes that quantitative: every VMM operand is fetched over the
-memory bus, every result written back, and the cost accumulator splits
-energy/time between *compute* and *data movement* — the Fig 1 bottleneck.
+memory bus, every result written back, and the charges split
+energy/time between *compute* and *data movement* — the Fig 1 bottleneck
+(read them from the :func:`~repro.utils.telemetry.scoped` block the
+workload ran in).
 
 Default parameters are representative of a DDR-class system: ~10 pJ/bit
 off-chip transfer versus ~1 pJ per 8-bit MAC, so movement dominates —
@@ -21,9 +23,7 @@ from typing import Optional
 import numpy as np
 
 import repro.costs.models as energy_models
-from repro.core.metrics import CostAccumulator
 from repro.utils import telemetry
-from repro.utils.telemetry import RunReport
 from repro.utils.validation import check_positive
 
 
@@ -56,20 +56,6 @@ class VonNeumannMachine:
 
     def __init__(self, params: Optional[VonNeumannParams] = None) -> None:
         self.params = params or VonNeumannParams()
-        self.costs = CostAccumulator()
-        self._vmm_calls = 0
-        self._macs = 0
-
-    def report(self, label: str = "von_neumann") -> RunReport:
-        """Structured run report: cost breakdown + workload counters."""
-        return RunReport.from_cost_accumulator(
-            self.costs,
-            label=label,
-            counters={
-                "vonneumann.vmm_calls": float(self._vmm_calls),
-                "vonneumann.macs": float(self._macs),
-            },
-        )
 
     def vmm(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Compute ``x @ w``, accounting movement of x, w and the result
@@ -87,15 +73,12 @@ class VonNeumannMachine:
         # The weight block dominates the payload, so value-aware wire
         # pricing keys on its density.
         model.charge_movement(
-            self.costs,
             p,
             n_bytes=(rows * cols + rows + cols) * p.word_bytes,
             values=w,
         )
         macs = rows * cols
-        model.charge_compute(self.costs, p, macs=macs)
-        self._vmm_calls += 1
-        self._macs += macs
+        model.charge_compute(p, macs=macs)
         telemetry.current().incr("vonneumann.vmm_calls")
         telemetry.current().incr("vonneumann.macs", macs)
         return x @ w
@@ -121,20 +104,17 @@ class VonNeumannMachine:
         model = energy_models.active_model()
         if weights_resident:
             model.charge_movement(
-                self.costs, p, n_bytes=rows * cols * p.word_bytes, values=w
+                p, n_bytes=rows * cols * p.word_bytes, values=w
             )
         for i, x in enumerate(batch):
             if weights_resident:
                 model.charge_movement(
-                    self.costs,
                     p,
                     n_bytes=(rows + cols) * p.word_bytes,
                     values=x,
                 )
                 macs = rows * cols
-                model.charge_compute(self.costs, p, macs=macs)
-                self._vmm_calls += 1
-                self._macs += macs
+                model.charge_compute(p, macs=macs)
                 telemetry.current().incr("vonneumann.vmm_calls")
                 telemetry.current().incr("vonneumann.macs", macs)
                 outputs[i] = x @ w

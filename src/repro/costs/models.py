@@ -16,10 +16,11 @@ Two pricing policies share one charging API:
   operand sparsity.  Every component is an exact per-element reduction
   (a handful of numpy sums per event), cheap enough for sweeps.
 
-Every ``charge_*`` method books its event once, as plain floats, with
-:meth:`CostAccumulator.add <repro.core.metrics.CostAccumulator.add>` on
-the caller's accumulator (which mirrors it into the current telemetry
-scope), so RunReports conserve identically in either mode.
+Every ``charge_*`` method books its event once, as plain floats, into
+the current telemetry scope (:func:`repro.utils.telemetry.current`):
+that scope is the one cost ledger, so a per-object, per-phase or per-job
+total is a read of the scope wrapped around the work, and RunReports
+conserve identically in either mode.
 Latency and data-movement are data-independent in both models: value
 awareness re-prices *energy* only, keeping timing comparisons stable.
 
@@ -27,6 +28,8 @@ Selection is context-local: :func:`use_model` scopes a model to a
 ``with`` block, :func:`set_process_default` pins the process default
 (what the sweep engine's worker initializer calls), and the
 ``REPRO_ENERGY_MODEL`` environment variable seeds the initial default.
+Both resolve the model instance once, so :func:`active_model` — looked
+up on every charge — is a single ``ContextVar`` read.
 All value-aware pricing is a pure function of the charged data, so
 reports stay bit-identical between serial and multi-worker sweeps.
 """
@@ -41,7 +44,8 @@ from typing import Any, Dict, Iterator, Optional, Union
 
 import numpy as np
 
-from repro.core.metrics import CostAccumulator
+from repro.utils import telemetry
+from repro.utils.validation import check_non_negative
 
 __all__ = [
     "CELL_AREA",
@@ -162,11 +166,10 @@ class EnergyModel:
     """Charging API every cost-bearing layer calls.
 
     Each ``charge_*`` method prices one physical event and books it with
-    one :meth:`~repro.core.metrics.CostAccumulator.add` on the caller's
-    accumulator, which validates it and mirrors it into telemetry.  The
-    charge methods return nothing.  The base class
-    implements the **static** pricing (the historical constants);
-    subclasses override the energy terms only.
+    one :meth:`_book` into the current telemetry scope.  The charge
+    methods return nothing.  The base class implements the **static**
+    pricing (the historical constants); subclasses override the energy
+    terms only.
     """
 
     spec = EnergyModelSpec()
@@ -176,10 +179,23 @@ class EnergyModel:
     #: snapshots) can skip it when this is ``False``.
     needs_values = False
 
+    @staticmethod
+    def _book(
+        category: str, energy: float, latency: float, data_moved: float = 0.0
+    ) -> None:
+        """Book one priced event as ``cost.*`` counters in the current
+        telemetry scope.  The numbers are checked here, where the model
+        produces them, so a negative charge raises even when telemetry
+        is disabled."""
+        if energy < 0 or latency < 0 or data_moved < 0:
+            check_non_negative("energy", energy)
+            check_non_negative("latency", latency)
+            check_non_negative("data_moved", data_moved)
+        telemetry.current().charge(category, energy, latency, data_moved)
+
     # -------------------------------------------------------------- pricing
     def charge_programming(
         self,
-        costs: CostAccumulator,
         *,
         n_cells: int,
         iterations: float = 1,
@@ -192,7 +208,7 @@ class EnergyModel:
         ``targets`` (the programmed conductances) and the device's
         ``g_min``/``g_max`` enable state-dependent pricing.
         """
-        costs.add(
+        self._book(
             "programming",
             self._programming_energy(n_cells, iterations, targets, g_min, g_max),
             WRITE_PULSE_TIME * iterations,
@@ -200,7 +216,6 @@ class EnergyModel:
 
     def charge_dac(
         self,
-        costs: CostAccumulator,
         dac,
         *,
         rows: int,
@@ -213,7 +228,7 @@ class EnergyModel:
         ``voltages`` is the driven wordline matrix and ``v_ref`` its full
         scale; value-aware pricing keys on the update magnitudes.
         """
-        costs.add(
+        self._book(
             "dac",
             self._dac_energy(dac, rows, batch, voltages, v_ref),
             dac.latency * batch,
@@ -221,7 +236,6 @@ class EnergyModel:
 
     def charge_array(
         self,
-        costs: CostAccumulator,
         *,
         settle_power: float,
         settle_time: float,
@@ -233,7 +247,7 @@ class EnergyModel:
         actual ``V^2 G`` read power, already data-dependent) for one
         settle window; ``column_volts`` (resolved column swings, full
         scale ``v_fs``) enables the value-aware bitline-charging term."""
-        costs.add(
+        self._book(
             "array",
             self._array_energy(settle_power, settle_time, column_volts, v_fs),
             settle_time * batch,
@@ -241,7 +255,6 @@ class EnergyModel:
 
     def charge_adc(
         self,
-        costs: CostAccumulator,
         adc,
         *,
         n_cols: int,
@@ -250,7 +263,7 @@ class EnergyModel:
     ) -> None:
         """One conversion per physical column per batch vector; ``codes``
         (the resolved output codes) enable SAR code-dependent pricing."""
-        costs.add(
+        self._book(
             "adc",
             self._adc_energy(adc, n_cols, batch, codes),
             adc.latency * batch,
@@ -258,7 +271,6 @@ class EnergyModel:
 
     def charge_driver(
         self,
-        costs: CostAccumulator,
         config,
         *,
         activations: int,
@@ -268,36 +280,33 @@ class EnergyModel:
     ) -> None:
         """``activations`` driven-wordline events across ``batch``
         vectors; ``voltages`` enables magnitude-dependent pricing."""
-        costs.add(
+        self._book(
             "driver",
             self._driver_energy(config, activations, voltages, v_ref),
             config.latency * batch,
         )
 
     def charge_sense(
-        self, costs: CostAccumulator, config, *, n_senses: int, repeats: int = 1
+        self, config, *, n_senses: int, repeats: int = 1
     ) -> None:
         """``n_senses`` sense-amplifier compares over ``repeats``
         sequential latency windows (one by default — the historical
         single-access behaviour; the ECC advisor prices a whole read
         workload as ``repeats`` codeword accesses in one charge)."""
-        costs.add(
+        self._book(
             "sense_amp",
             config.energy_per_sense * n_senses,
             config.latency * repeats,
         )
 
-    def charge_decoder(
-        self, costs: CostAccumulator, config, *, n_rows: int
-    ) -> None:
+    def charge_decoder(self, config, *, n_rows: int) -> None:
         """Row-decoder activation of ``n_rows`` wordlines."""
-        costs.add(
+        self._book(
             "decoder", config.energy_per_activation * n_rows, config.latency
         )
 
     def charge_movement(
         self,
-        costs: CostAccumulator,
         params,
         *,
         n_bytes: float,
@@ -305,19 +314,17 @@ class EnergyModel:
     ) -> None:
         """Memory-bus transfer of ``n_bytes`` (von Neumann machines);
         ``values`` enables sparsity-dependent wire pricing."""
-        costs.add(
+        self._book(
             "data_movement",
             self._wire_energy(n_bytes * 8 * params.bus_energy_per_bit, values),
             n_bytes / params.bus_bandwidth,
             n_bytes,
         )
 
-    def charge_compute(
-        self, costs: CostAccumulator, params, *, macs: int
-    ) -> None:
+    def charge_compute(self, params, *, macs: int) -> None:
         """ALU multiply-accumulate work (data-independent in both
         models: digital MAC energy varies far less than wires/ADCs)."""
-        costs.add(
+        self._book(
             "compute",
             macs * params.mac_energy,
             (macs / params.alu_parallelism) * params.mac_latency,
@@ -325,7 +332,6 @@ class EnergyModel:
 
     def charge_transfer(
         self,
-        costs: CostAccumulator,
         params,
         *,
         payload: float,
@@ -334,7 +340,7 @@ class EnergyModel:
     ) -> None:
         """Inter-tile link transfer of ``payload`` bytes (latency is
         computed by the link model and passed through unchanged)."""
-        costs.add(
+        self._book(
             "interconnect",
             self._wire_energy(payload * params.energy_per_byte, values),
             latency,
@@ -490,39 +496,36 @@ def model_from_spec(spec: SpecLike) -> EnergyModel:
     return model
 
 
-def _env_default() -> EnergyModelSpec:
+def _env_default() -> EnergyModel:
     raw = os.environ.get(ENV_ENERGY_MODEL, "static")
     try:
-        return EnergyModelSpec.parse(raw)
+        return model_from_spec(raw)
     except ValueError:
         raise ValueError(
             f"{ENV_ENERGY_MODEL}={raw!r} is not a recognized energy model"
         ) from None
 
 
-_PROCESS_DEFAULT: EnergyModelSpec = _env_default()
-_SPEC_VAR: ContextVar[Optional[EnergyModelSpec]] = ContextVar(
-    "repro_energy_model_spec", default=None
-)
-
-
-def active_spec() -> EnergyModelSpec:
-    """The spec charges are priced under right now."""
-    spec = _SPEC_VAR.get()
-    return spec if spec is not None else _PROCESS_DEFAULT
+_PROCESS_DEFAULT: EnergyModel = _env_default()
+_MODEL_VAR: ContextVar[EnergyModel] = ContextVar("repro_energy_model")
 
 
 def active_model() -> EnergyModel:
     """The model instance charges are priced under right now."""
-    return model_from_spec(active_spec())
+    return _MODEL_VAR.get(_PROCESS_DEFAULT)
+
+
+def active_spec() -> EnergyModelSpec:
+    """The spec charges are priced under right now."""
+    return active_model().spec
 
 
 def set_process_default(spec: SpecLike) -> EnergyModelSpec:
     """Pin the process-wide default model (sweep workers call this with
     the spec shipped by the pool initializer); returns the parsed spec."""
     global _PROCESS_DEFAULT
-    _PROCESS_DEFAULT = EnergyModelSpec.parse(spec)
-    return _PROCESS_DEFAULT
+    _PROCESS_DEFAULT = model_from_spec(spec)
+    return _PROCESS_DEFAULT.spec
 
 
 @contextmanager
@@ -532,9 +535,9 @@ def use_model(spec: SpecLike) -> Iterator[EnergyModel]:
     Context-local (a ``ContextVar``), so concurrent asyncio request
     handlers each see their own model, exactly like telemetry scopes.
     """
-    parsed = EnergyModelSpec.parse(spec)
-    token = _SPEC_VAR.set(parsed)
+    model = model_from_spec(spec)
+    token = _MODEL_VAR.set(model)
     try:
-        yield model_from_spec(parsed)
+        yield model
     finally:
-        _SPEC_VAR.reset(token)
+        _MODEL_VAR.reset(token)

@@ -16,7 +16,6 @@ from typing import List, Optional
 import numpy as np
 
 import repro.costs.models as energy_models
-from repro.core.metrics import CostAccumulator
 from repro.crossbar.array import CrossbarArray
 from repro.faults.injection import FaultInjector
 from repro.faults.models import Fault, FaultType
@@ -74,10 +73,6 @@ class EnduranceSimulator:
         self._lifetimes = self.model.sample_lifetimes(array.shape, self._rng)
         self._writes = np.zeros(array.shape, dtype=float)
         self.injector = FaultInjector(array, rng=self._rng)
-        #: Write-cycling energy/latency, priced by the active energy model
-        #: (historically endurance cycling charged nothing — the last
-        #: uncosted write path in the stack).
-        self.costs = CostAccumulator()
 
     @property
     def write_cycles(self) -> np.ndarray:
@@ -91,13 +86,13 @@ class EnduranceSimulator:
 
     def cycle(self, writes_per_cell: float = 1.0) -> List[Fault]:
         """Apply ``writes_per_cell`` uniform write cycles; returns the
-        newly expired cells' faults."""
+        newly expired cells' faults.  The write pulses are priced by the
+        active energy model and charged to the current telemetry scope."""
         check_positive("writes_per_cell", writes_per_cell)
         rows, cols = self.array.shape
         levels = self.array.config.levels
         model = energy_models.active_model()
         model.charge_programming(
-            self.costs,
             n_cells=rows * cols,
             iterations=writes_per_cell,
             targets=self.array.conductances() if model.needs_values else None,
@@ -128,7 +123,6 @@ class EnduranceSimulator:
         levels = self.array.config.levels
         model = energy_models.active_model()
         model.charge_programming(
-            self.costs,
             n_cells=rows * cols,
             iterations=total / (rows * cols),
             targets=self.array.conductances() if model.needs_values else None,

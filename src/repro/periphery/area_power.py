@@ -154,9 +154,9 @@ def fig5_instrumented_report(
     the ADC-dominance claim (>65% of compute-phase power, >90% of area).
 
     Programming energy (~10 pJ/cell) would swamp the steady-state compute
-    breakdown Fig 5 describes, so the per-category costs are the *delta*
-    across the inference phase: the accumulator is snapshotted after
-    weight programming and subtracted out.
+    breakdown Fig 5 describes, so the per-category costs are those of the
+    inference phase alone, read from a telemetry scope nested around it;
+    the side counters cover the whole run.
     """
     from repro.core.cim_core import CIMCore, CIMCoreParams
     from repro.utils import telemetry
@@ -171,19 +171,9 @@ def fig5_instrumented_report(
             rng=gen,
         )
         core.program_weights(gen.uniform(-1, 1, (rows, logical_cols)))
-        baseline = core.costs.as_dict()
-        core.vmm_batch(gen.uniform(0, 1, (batch, rows)), noisy=False)
-        after = core.costs.as_dict()
+        with telemetry.nested() as inference:
+            core.vmm_batch(gen.uniform(0, 1, (batch, rows)), noisy=False)
 
-    categories: Dict[str, Dict[str, float]] = {}
-    for name in sorted(after):
-        base = baseline.get(name, {})
-        delta = {
-            key: after[name].get(key, 0.0) - base.get(key, 0.0)
-            for key in ("energy", "latency", "data_moved")
-        }
-        if any(abs(v) > 0.0 for v in delta.values()):
-            categories[name] = delta
     counters = {
         k: v
         for k, v in scope.snapshot(include_timers=False)["counters"].items()
@@ -191,7 +181,7 @@ def fig5_instrumented_report(
     }
     return RunReport(
         label="fig5_instrumented",
-        categories=categories,
+        categories=RunReport.from_counters(inference.counters).categories,
         counters=counters,
         area=core.area_breakdown(),
     )

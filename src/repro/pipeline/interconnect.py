@@ -5,11 +5,11 @@ rates exactly this data movement as the scalability limiter — so the
 scheduler must charge it, not assume it free.  The model is deliberately
 simple (CiMLoop-style first-order): every stage-to-stage hop ships the
 micro-batch's activation payload over a link with a fixed per-transfer
-setup latency, a finite bandwidth, and a per-byte energy.  All charges go
-through a :class:`~repro.core.metrics.CostAccumulator` under the
-``interconnect`` category, so pipeline run reports conserve exactly like
-every other machine model, and a ``pipeline.transfer.bytes`` side counter
-mirrors the payload into telemetry.
+setup latency, a finite bandwidth, and a per-byte energy.  Every charge
+goes through the active energy model into the current telemetry scope
+under the ``interconnect`` category, so pipeline run reports conserve
+exactly like every other machine model, and a ``pipeline.transfer.bytes``
+side counter records the payload.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from typing import Optional
 import numpy as np
 
 import repro.costs.models as energy_models
-from repro.core.metrics import CostAccumulator
 from repro.utils import telemetry
 from repro.utils.validation import check_positive
 
@@ -57,7 +56,6 @@ class Interconnect:
 
     def __init__(self, params: InterconnectParams = None) -> None:
         self.params = params or InterconnectParams()
-        self.costs = CostAccumulator()
         self.transfers = 0
         self.bytes_moved = 0
 
@@ -74,7 +72,7 @@ class Interconnect:
     ) -> float:
         """Ship ``n_values`` activations over ``hops`` links; returns the
         transfer latency (s) and charges energy/latency/data-movement to
-        :attr:`costs` (mirrored into the current telemetry scope).
+        the current telemetry scope.
 
         ``values`` — the actual activation payload — lets a value-aware
         energy model price the wire by switching activity (ReLU sparsity
@@ -89,7 +87,6 @@ class Interconnect:
         payload = n_values * self.params.bytes_per_value * hops
         latency = hops * self.transfer_latency(n_values)
         energy_models.active_model().charge_transfer(
-            self.costs,
             self.params,
             payload=payload,
             latency=latency,

@@ -38,8 +38,8 @@ micro-batch) step in a scope nested inside it: a step's charged latency
 is its service time, and the pass scope's cost counters are the pass's
 categories.  So a result is a pure function of (allocation, input,
 micro_batch, noisy): it does not depend on what ran on the allocation
-before.  Both scopes fold outward into the caller's scope, and the
-tiles' and the interconnect's accumulators keep running lifetime totals.
+before.  Both scopes fold outward into the caller's scope, so the
+caller's scope holds every charge once.
 Functional counters (VMMs, conversions, ``pipeline.transfers``, cost
 charges) are counted once per ``execute``; timing counters
 (``pipeline.makespan_s``, busy seconds) once per ``schedule``.  A
@@ -350,20 +350,16 @@ class PipelineScheduler:
         cost categories.  So the trace is this pass's charges alone — a
         pure function of (allocation, input, micro_batch, noisy),
         independent of whatever ran on the allocation before.  Each scope
-        folds its counters into the enclosing one, also when a step
-        raises, so the caller's scope sees every charge once and agrees
-        with the tile and link accumulators' running lifetime totals.
+        is a :func:`~repro.utils.telemetry.nested` one: it folds its
+        counters into the enclosing scope, also when a step raises, so
+        the caller's scope sees every charge once.
         """
         graph = self.allocation.graph
         x = graph.validate_input(x)
         if x.shape[0] < 1:
             raise ValueError("batch must contain at least one sample")
-        caller = telemetry.current()
-        with telemetry.scoped() as scope:
-            try:
-                return self._functional_pass(x, noisy, scope)
-            finally:
-                caller.add_counters(scope.counters)
+        with telemetry.nested() as scope:
+            return self._functional_pass(x, noisy, scope)
 
     def _functional_pass(
         self, x: np.ndarray, noisy: bool, scope: telemetry.Telemetry
@@ -392,11 +388,8 @@ class PipelineScheduler:
                     if len(in_rows) > 1
                     else in_rows[0][m]
                 )
-                with telemetry.scoped() as step:
-                    try:
-                        outs.append(stage.apply(h, m, noisy=noisy))
-                    finally:
-                        scope.add_counters(step.counters)
+                with telemetry.nested() as step:
+                    outs.append(stage.apply(h, m, noisy=noisy))
                 # Tiles within a replica evaluate in parallel; the model
                 # charges each tile's latency, so wall time is the sum
                 # divided by the tile count.

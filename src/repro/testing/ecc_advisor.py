@@ -26,9 +26,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 import repro.costs.models as energy_models
-from repro.core.metrics import CostAccumulator
 from repro.costs.pareto import knee_point, parameter_sensitivity, pareto_front
 from repro.periphery.sense_amp import SenseAmpConfig
+from repro.utils import telemetry
 from repro.utils.parallel import run_grid
 from repro.utils.rng import RNGLike
 
@@ -169,22 +169,19 @@ def _advisor_trial(
     failed = _mc_block(mc_words, rng, code, ber)
     word_failure_rate = float(np.mean(failed))
 
-    costs = CostAccumulator()
     model = energy_models.active_model()
     # Check-bit maintenance bill for one word over the scenario: every
     # write reprograms the check bits, every read senses them.
-    model.charge_programming(
-        costs,
-        n_cells=code.check_bits,
-        iterations=float(scenario.writes_per_word),
-    )
-    model.charge_sense(
-        costs,
-        _SENSE,
-        n_senses=code.check_bits * scenario.reads_per_word,
-        repeats=scenario.reads_per_word,
-    )
-    total = costs.total
+    with telemetry.nested() as bill:
+        model.charge_programming(
+            n_cells=code.check_bits,
+            iterations=float(scenario.writes_per_word),
+        )
+        model.charge_sense(
+            _SENSE,
+            n_senses=code.check_bits * scenario.reads_per_word,
+            repeats=scenario.reads_per_word,
+        )
     return {
         "code": code_name,
         "cell_yield": float(cell_yield),
@@ -200,8 +197,10 @@ def _advisor_trial(
         "coverage": 1.0 - word_failure_rate,
         "analytic_word_failure": code.word_failure_probability(ber),
         "area_mm2": energy_models.CELL_AREA * code.check_bits * words_per_array,
-        "energy_per_word_J": total.energy,
-        "latency_per_word_s": total.latency,
+        "energy_per_word_J": bill.count("cost.energy.programming")
+        + bill.count("cost.energy.sense_amp"),
+        "latency_per_word_s": bill.count("cost.latency.programming")
+        + bill.count("cost.latency.sense_amp"),
     }
 
 

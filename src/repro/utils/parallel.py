@@ -280,8 +280,8 @@ def _worker_init(
     in a module global so per-chunk submissions carry indices only.
     """
     if energy_spec is not None:
-        # Deferred import: repro.costs pulls in repro.core, and the sweep
-        # engine must stay importable below both.
+        # Deferred import: repro.costs imports repro.utils, and the sweep
+        # engine must stay importable below it.
         import repro.costs.models as energy_models
 
         energy_models.set_process_default(

@@ -14,12 +14,17 @@ total.  This module is the one place that observability lives:
   the per-job counters, in flat job order, into the caller's scope, so a
   caller captures a whole sweep — bit-identically at any worker count —
   by wrapping it in :func:`scoped`.  :meth:`Telemetry.add_counters` is
-  that one fold; the pipeline scheduler uses it for its pass and step
-  scopes too.
-* Cost mirroring — :meth:`repro.core.metrics.CostAccumulator.add` mirrors
-  every charge into the current telemetry under ``cost.energy.<category>``
-  (and latency / data-movement twins), so any scoped job automatically
-  carries its full energy breakdown without the app layer doing anything.
+  that one fold; :func:`nested` applies it on exit from a block, which is
+  how the pipeline scheduler prices a pass and its steps and how Table I,
+  the Fig-5 report, the ECC advisor and the in-situ trainer price a
+  phase.
+* The cost ledger — every ``EnergyModel.charge_*`` books its charge once,
+  into the current telemetry scope, under ``cost.energy.<category>`` (and
+  latency / data-movement twins).  There is no other ledger: any scoped
+  job carries its full energy breakdown without the app layer doing
+  anything, and a per-object or per-phase total is a read of the scope
+  wrapped around that object's or phase's work
+  (:meth:`RunReport.from_counters`).
 * :class:`RunReport` — a JSON-serializable merge of cost breakdowns,
   side counters (crossbar read/write ops, driver activations, sense-amp
   comparisons, solver cache hits/misses) and a static area breakdown,
@@ -54,13 +59,14 @@ __all__ = [
     "current",
     "scoped",
     "disabled",
+    "nested",
     "reset",
     "COST_PREFIXES",
 ]
 
-#: Counter-name prefixes under which :class:`CostAccumulator` charges are
-#: mirrored; :meth:`RunReport.from_counters` folds them back into
-#: per-category cost breakdowns.
+#: Counter-name prefixes under which energy-model charges are booked;
+#: :meth:`RunReport.from_counters` folds them back into per-category cost
+#: breakdowns.
 COST_PREFIXES = ("cost.energy.", "cost.latency.", "cost.data_moved.")
 
 
@@ -108,7 +114,7 @@ class Telemetry:
     def charge(
         self, category: str, energy: float, latency: float, data_moved: float
     ) -> None:
-        """Mirror one cost-accumulator charge as counters (see
+        """Book one energy-model charge as counters (see
         :data:`COST_PREFIXES`)."""
         self.incr(f"cost.energy.{category}", energy)
         self.incr(f"cost.latency.{category}", latency)
@@ -218,6 +224,22 @@ def scoped(telemetry: Optional[Telemetry] = None) -> Iterator[Telemetry]:
         yield scope
     finally:
         _STACK_VAR.reset(token)
+
+
+@contextmanager
+def nested() -> Iterator[Telemetry]:
+    """A fresh :func:`scoped` scope whose counters fold into the enclosing
+    scope when the block exits, also when it raises.
+
+    The block's own charges can be read off the yielded scope, while the
+    enclosing scope still sees every charge once.
+    """
+    caller = current()
+    with scoped() as scope:
+        try:
+            yield scope
+        finally:
+            caller.add_counters(scope.counters)
 
 
 @contextmanager
@@ -371,7 +393,7 @@ class RunReport:
         timers: Optional[Dict[str, float]] = None,
         area: Optional[Dict[str, float]] = None,
     ) -> "RunReport":
-        """Build a report from a raw counter mapping, folding mirrored
+        """Build a report from a raw counter mapping, folding booked
         ``cost.*`` counters (see :data:`COST_PREFIXES`) back into the
         per-category breakdown."""
         categories: Dict[str, Dict[str, float]] = {}
@@ -395,25 +417,6 @@ class RunReport:
             label=label,
             categories=categories,
             counters=plain,
-            timers=dict(timers or {}),
-            area=dict(area or {}),
-        )
-
-    @classmethod
-    def from_cost_accumulator(
-        cls,
-        costs,
-        label: str = "run",
-        counters: Optional[Dict[str, float]] = None,
-        timers: Optional[Dict[str, float]] = None,
-        area: Optional[Dict[str, float]] = None,
-    ) -> "RunReport":
-        """Build a report from a :class:`~repro.core.metrics.CostAccumulator`
-        plus optional side counters/timers/area."""
-        return cls(
-            label=label,
-            categories=costs.as_dict(),
-            counters=dict(counters or {}),
             timers=dict(timers or {}),
             area=dict(area or {}),
         )

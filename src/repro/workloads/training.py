@@ -48,6 +48,7 @@ from repro.devices.variability import (
     WriteVariationModel,
 )
 from repro.faults.endurance import EnduranceModel, EnduranceSimulator
+from repro.utils import telemetry
 from repro.utils.parallel import run_grid
 from repro.utils.rng import RNGLike, ensure_rng, spawn_rngs
 from repro.utils.validation import check_non_negative, check_positive
@@ -355,11 +356,6 @@ class InSituTrainer:
             EnduranceSimulator(self.layer.neg, model, rng=wear_neg),
         )
 
-    @property
-    def write_energy(self) -> float:
-        """Programming energy charged so far (J), both arrays."""
-        return sum(sim.costs.total.energy for sim in self.endurance)
-
     def accuracy(self) -> float:
         """Held-out accuracy through the analog forward pass."""
         pred = self.layer.predict(self.x_test)
@@ -402,24 +398,31 @@ class InSituTrainer:
     def run(self) -> List[Dict[str, float]]:
         """Train for ``epochs`` passes; returns one row per epoch:
         loss, held-out accuracy, cumulative dead cells / pulses / energy,
-        with drift aging applied between epochs."""
+        with drift aging applied between epochs.
+
+        The run's only charges are the endurance pulses, so the run's
+        nested telemetry scope is its write-energy ledger.
+        """
         rows: List[Dict[str, float]] = []
         total_pulses = 0
-        for epoch in range(self.params.epochs):
-            loss, pulses = self._epoch()
-            total_pulses += pulses
-            self.layer.relax(self.params.aging_seconds)
-            rows.append(
-                {
-                    "epoch": int(epoch),
-                    "loss": loss,
-                    "accuracy": self.accuracy(),
-                    "dead_cells": int(self.layer.dead_cells),
-                    "pulses": int(pulses),
-                    "total_pulses": int(total_pulses),
-                    "write_energy_j": self.write_energy,
-                }
-            )
+        with telemetry.nested() as scope:
+            for epoch in range(self.params.epochs):
+                loss, pulses = self._epoch()
+                total_pulses += pulses
+                self.layer.relax(self.params.aging_seconds)
+                rows.append(
+                    {
+                        "epoch": int(epoch),
+                        "loss": loss,
+                        "accuracy": self.accuracy(),
+                        "dead_cells": int(self.layer.dead_cells),
+                        "pulses": int(pulses),
+                        "total_pulses": int(total_pulses),
+                        "write_energy_j": scope.count(
+                            "cost.energy.programming"
+                        ),
+                    }
+                )
         return rows
 
 

@@ -6,6 +6,7 @@ import pytest
 from repro.apps.cnn import SimpleCNN, synthetic_images
 from repro.apps.datasets import gaussian_blobs
 from repro.apps.nn import MLP
+from repro.costs.models import EnergyModel
 from repro.crossbar.array import CrossbarArray, CrossbarConfig
 from repro.devices.reram import ConductanceLevels
 
@@ -14,6 +15,22 @@ from repro.devices.reram import ConductanceLevels
 def rng():
     """A deterministic generator for stochastic tests."""
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def booked(monkeypatch):
+    """Every charge the energy model books, as ``(category, energy,
+    latency[, data_moved])`` tuples recorded at its booking helper: an
+    oracle for telemetry reports that does not go through any scope."""
+    log = []
+    book = EnergyModel._book
+
+    def spy(*charge):
+        log.append(charge)
+        book(*charge)
+
+    monkeypatch.setattr(EnergyModel, "_book", staticmethod(spy))
+    return log
 
 
 @pytest.fixture

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.accelerator import AcceleratorParams, CIMAccelerator
+from repro.utils import telemetry
+from repro.utils.telemetry import RunReport
 
 
 class TestTiling:
@@ -179,7 +181,8 @@ class TestFaultInjection:
     def test_cost_aggregation(self, rng):
         w = rng.uniform(-1, 1, (100, 50))
         accel = CIMAccelerator(w, rng=8)
-        accel.vmm(rng.uniform(0, 1, 100), noisy=False)
-        report = accel.report()
+        with telemetry.scoped() as scope:
+            accel.vmm(rng.uniform(0, 1, 100), noisy=False)
+        report = RunReport.from_counters(scope.counters)
         assert report.total_energy > 0
         assert "adc" in report.categories

@@ -5,6 +5,13 @@ import pytest
 
 from repro.core.cim_core import CIMCore, CIMCoreParams
 from repro.devices.variability import VariabilityStack
+from repro.utils import telemetry
+from repro.utils.telemetry import RunReport
+
+
+def _costs(scope):
+    """Per-category costs a telemetry scope captured."""
+    return RunReport.from_counters(scope.counters).categories
 
 
 @pytest.fixture
@@ -54,20 +61,23 @@ class TestVMM:
         with pytest.raises(ValueError):
             core.vmm(np.zeros(31))
 
-    def test_costs_accumulate_per_category(self, programmed_core, rng):
-        core, _ = programmed_core
-        core.vmm(rng.uniform(0, 1, 32))
-        categories = set(core.costs.by_category)
+    def test_costs_accumulate_per_category(self, core, rng):
+        with telemetry.scoped() as scope:
+            core.program_weights(rng.uniform(-1, 1, (32, 16)))
+            core.vmm(rng.uniform(0, 1, 32))
+        categories = set(_costs(scope))
         assert {"programming", "dac", "array", "adc"}.issubset(categories)
 
     def test_adc_energy_dominates_analog_path(self, programmed_core, rng):
         """Fig 5's power story shows up in the per-op accounting too."""
         core, _ = programmed_core
-        for _ in range(10):
-            core.vmm(rng.uniform(0, 1, 32))
-        adc = core.costs.by_category["adc"].energy
-        dac = core.costs.by_category["dac"].energy
-        array = core.costs.by_category["array"].energy
+        with telemetry.scoped() as scope:
+            for _ in range(10):
+                core.vmm(rng.uniform(0, 1, 32))
+        costs = _costs(scope)
+        adc = costs["adc"]["energy"]
+        dac = costs["dac"]["energy"]
+        array = costs["array"]["energy"]
         assert adc > dac + array
 
 
@@ -159,12 +169,13 @@ class TestWriteBitRow:
         return CIMCore(CIMCoreParams(rows=8, logical_cols=8), rng=3)
 
     def test_charges_programming_cost(self, logic_core):
-        before = logic_core.costs.by_category.get("programming")
-        before_energy = before.energy if before else 0.0
-        logic_core.write_bit_row(0, np.ones(logic_core.array.cols, dtype=int))
-        after = logic_core.costs.by_category["programming"]
-        assert after.energy > before_energy
-        assert after.latency > 0
+        with telemetry.scoped() as scope:
+            logic_core.write_bit_row(
+                0, np.ones(logic_core.array.cols, dtype=int)
+            )
+        programming = _costs(scope)["programming"]
+        assert programming["energy"] > 0
+        assert programming["latency"] > 0
 
     def test_untouched_rows_bit_identical(self, logic_core):
         rng = np.random.default_rng(0)
@@ -186,14 +197,16 @@ class TestWriteBitRow:
         rng = np.random.default_rng(1)
         logic_core.write_bit_row(0, rng.integers(0, 2, logic_core.array.cols))
         logic_core.write_bit_row(1, rng.integers(0, 2, logic_core.array.cols))
-        logic_core.scouting_or([0, 1])
-        categories = logic_core.costs.by_category
-        assert categories["driver"].energy > 0
-        assert categories["decoder"].energy > 0
+        with telemetry.scoped() as scope:
+            logic_core.scouting_or([0, 1])
+        categories = _costs(scope)
+        assert categories["driver"]["energy"] > 0
+        assert categories["decoder"]["energy"] > 0
 
     def test_vmm_batch_charges_driver(self):
         core = CIMCore(CIMCoreParams(rows=16, logical_cols=8), rng=0)
         rng = np.random.default_rng(0)
         core.program_weights(rng.uniform(-1, 1, (16, 8)))
-        core.vmm_batch(rng.uniform(0, 1, (4, 16)), noisy=False)
-        assert core.costs.by_category["driver"].energy > 0
+        with telemetry.scoped() as scope:
+            core.vmm_batch(rng.uniform(0, 1, (4, 16)), noisy=False)
+        assert _costs(scope)["driver"]["energy"] > 0

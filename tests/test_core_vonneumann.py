@@ -4,6 +4,17 @@ import numpy as np
 import pytest
 
 from repro.core.vonneumann import VonNeumannMachine, VonNeumannParams
+from repro.utils import telemetry
+from repro.utils.telemetry import RunReport
+
+
+def _run(batch, w, weights_resident=False):
+    """Run a workload on a fresh machine; returns its report."""
+    with telemetry.scoped() as scope:
+        VonNeumannMachine().run_workload(
+            batch, w, weights_resident=weights_resident
+        )
+    return RunReport.from_counters(scope.counters)
 
 
 class TestVMM:
@@ -23,32 +34,24 @@ class TestBottleneck:
     """The Fig 1(a) claim: data movement dominates compute."""
 
     def test_movement_energy_dominates(self, rng):
-        machine = VonNeumannMachine()
         w = rng.uniform(-1, 1, (64, 64))
         batch = rng.uniform(0, 1, (8, 64))
-        machine.run_workload(batch, w)
-        assert machine.costs.energy_fraction("data_movement") > 0.5
+        report = _run(batch, w)
+        assert report.energy_fractions()["data_movement"] > 0.5
 
     def test_movement_latency_significant(self, rng):
-        machine = VonNeumannMachine()
         w = rng.uniform(-1, 1, (64, 64))
         batch = rng.uniform(0, 1, (8, 64))
-        machine.run_workload(batch, w)
-        total = machine.costs.total.latency
-        movement = machine.costs.by_category["data_movement"].latency
-        assert movement / total > 0.3
+        report = _run(batch, w)
+        movement = report.categories["data_movement"]["latency"]
+        assert movement / report.total_latency > 0.3
 
     def test_resident_weights_cut_movement(self, rng):
         w = rng.uniform(-1, 1, (64, 64))
         batch = rng.uniform(0, 1, (8, 64))
-        thrashing = VonNeumannMachine()
-        thrashing.run_workload(batch, w, weights_resident=False)
-        cached = VonNeumannMachine()
-        cached.run_workload(batch, w, weights_resident=True)
-        assert (
-            cached.costs.total.data_moved
-            < thrashing.costs.total.data_moved / 4
-        )
+        thrashing = _run(batch, w, weights_resident=False)
+        cached = _run(batch, w, weights_resident=True)
+        assert cached.total_data_moved < thrashing.total_data_moved / 4
 
     def test_resident_result_still_correct(self, rng):
         machine = VonNeumannMachine()
@@ -61,9 +64,11 @@ class TestBottleneck:
         machine = VonNeumannMachine()
         w = rng.uniform(-1, 1, (16, 8))
         x = rng.uniform(0, 1, 16)
-        machine.vmm(x, w)
+        with telemetry.scoped() as scope:
+            machine.vmm(x, w)
         # matrix + input + output, 1 byte words.
-        assert machine.costs.total.data_moved == 16 * 8 + 16 + 8
+        moved = RunReport.from_counters(scope.counters).total_data_moved
+        assert moved == 16 * 8 + 16 + 8
 
 
 class TestParams:

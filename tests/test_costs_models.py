@@ -25,11 +25,11 @@ from repro.costs import (
     parameter_sensitivity,
     use_model,
 )
-from repro.core.metrics import CostAccumulator
 from repro.periphery.adc import ADC, ADCConfig
 from repro.periphery.dac import DAC
 from repro.pipeline.interconnect import Interconnect
 from repro.utils import telemetry
+from repro.utils.telemetry import RunReport
 
 # Captured from the pre-refactor code (commit e282ec3) by running the
 # exact operation sequence in TestStaticPinned; every float is verbatim.
@@ -56,7 +56,11 @@ PINNED = {
         "driver": {"energy": 1.8e-13, "latency": 1.5000000000000002e-09},
         "programming": {"energy": 1.44e-09, "latency": 1e-07},
     },
-    "cim_p": {"energy": 2.5607679999999965e-09, "latency": 1.239999999999999e-07},
+    # Table I totals are per-category scope sums added in sorted category
+    # order; these equal the correctly rounded exact sums of the charges
+    # (a running total in charge order gave 2.5607679999999965e-09 J and
+    # 1.239999999999999e-07 s, 1.4e-15 and 8e-15 relative away).
+    "cim_p": {"energy": 2.560768e-09, "latency": 1.24e-07},
     "interconnect": {
         "interconnect": {
             "data_moved": 422.0,
@@ -78,8 +82,7 @@ PINNED = {
 }
 
 
-def _assert_matches(costs: CostAccumulator, pinned: dict) -> None:
-    got = costs.as_dict()
+def _assert_matches(got: dict, pinned: dict) -> None:
     assert set(got) == set(pinned)
     for category, expected in pinned.items():
         for key, value in expected.items():
@@ -91,51 +94,60 @@ def _assert_matches(costs: CostAccumulator, pinned: dict) -> None:
 @pytest.fixture(scope="module")
 def pinned_run():
     """Replays the exact capture sequence (one shared ``rng(7)`` stream —
-    the data-dependent array/driver charges depend on the draw order)."""
+    the data-dependent array/driver charges depend on the draw order).
+    Each object's run reads its own telemetry scope."""
     out = {}
+
+    def categories(scope):
+        return RunReport.from_counters(scope.counters).categories
+
     core = CIMCore(
         CIMCoreParams(rows=16, logical_cols=8, adc_bits=6),
         rng=np.random.default_rng(99),
     )
     rng = np.random.default_rng(7)
-    core.program_weights(rng.uniform(-1.0, 1.0, size=(16, 8)))
-    core.vmm_batch(rng.uniform(0.0, 1.0, size=(5, 16)), noisy=False)
-    core.write_bit_row(
-        0, (rng.uniform(size=core.array.cols) > 0.5).astype(int)
-    )
-    core.write_bit_row(
-        1, (rng.uniform(size=core.array.cols) > 0.5).astype(int)
-    )
-    core.scouting_or([0, 1])
-    core.scouting_and([0, 1])
-    core.scouting_xor([0, 1])
-    out["cim_core"] = core.costs
+    with telemetry.scoped() as scope:
+        core.program_weights(rng.uniform(-1.0, 1.0, size=(16, 8)))
+        core.vmm_batch(rng.uniform(0.0, 1.0, size=(5, 16)), noisy=False)
+        core.write_bit_row(
+            0, (rng.uniform(size=core.array.cols) > 0.5).astype(int)
+        )
+        core.write_bit_row(
+            1, (rng.uniform(size=core.array.cols) > 0.5).astype(int)
+        )
+        core.scouting_or([0, 1])
+        core.scouting_and([0, 1])
+        core.scouting_xor([0, 1])
+    out["cim_core"] = categories(scope)
 
     core2 = CIMCore(
         CIMCoreParams(rows=12, logical_cols=6, wire_resistance=0.5),
         rng=np.random.default_rng(3),
     )
-    core2.program_weights(rng.uniform(-1.0, 1.0, size=(12, 6)))
-    core2.vmm_batch(rng.uniform(0.0, 1.0, size=(3, 12)), noisy=False)
-    out["cim_core_ir"] = core2.costs
+    with telemetry.scoped() as scope:
+        core2.program_weights(rng.uniform(-1.0, 1.0, size=(12, 6)))
+        core2.vmm_batch(rng.uniform(0.0, 1.0, size=(3, 12)), noisy=False)
+    out["cim_core_ir"] = categories(scope)
 
     vm = VonNeumannMachine()
-    vm.run_workload(
-        rng.uniform(0.0, 1.0, size=(4, 10)),
-        rng.uniform(-1.0, 1.0, size=(10, 5)),
-        weights_resident=False,
-    )
-    vm.run_workload(
-        rng.uniform(0.0, 1.0, size=(4, 10)),
-        rng.uniform(-1.0, 1.0, size=(10, 5)),
-        weights_resident=True,
-    )
-    out["von_neumann"] = vm.costs
+    with telemetry.scoped() as scope:
+        vm.run_workload(
+            rng.uniform(0.0, 1.0, size=(4, 10)),
+            rng.uniform(-1.0, 1.0, size=(10, 5)),
+            weights_resident=False,
+        )
+        vm.run_workload(
+            rng.uniform(0.0, 1.0, size=(4, 10)),
+            rng.uniform(-1.0, 1.0, size=(10, 5)),
+            weights_resident=True,
+        )
+    out["von_neumann"] = categories(scope)
 
     link = Interconnect()
-    link.transfer(100)
-    link.transfer(37, hops=3)
-    out["interconnect"] = link.costs
+    with telemetry.scoped() as scope:
+        link.transfer(100)
+        link.transfer(37, hops=3)
+    out["interconnect"] = categories(scope)
     return out
 
 
@@ -161,6 +173,37 @@ class TestStaticPinned:
         m = comp.measure_cim_p()
         assert m.energy == PINNED["cim_p"]["energy"]
         assert m.latency == PINNED["cim_p"]["latency"]
+
+
+class TestBooking:
+    """A charge is checked where the model prices it, then booked once
+    into the current telemetry scope."""
+
+    static = StaticEnergyModel()
+
+    def test_charge_books_cost_counters(self):
+        with telemetry.scoped() as scope:
+            self.static.charge_array(settle_power=2.0, settle_time=0.5)
+            self.static.charge_array(settle_power=1.0, settle_time=0.5)
+        assert scope.counters == {
+            "cost.energy.array": 1.5,
+            "cost.latency.array": 1.0,
+            "cost.data_moved.array": 0.0,
+        }
+
+    @pytest.mark.parametrize("scope", [telemetry.scoped, telemetry.disabled])
+    def test_negative_charge_rejected(self, scope):
+        """Regression (ported from the per-object ledger's tests): a
+        negative energy or latency raises, also when telemetry is off —
+        the check does not live in the telemetry sink."""
+        link = Interconnect().params
+        with scope() as recording:
+            with pytest.raises(ValueError, match="energy"):
+                self.static.charge_array(settle_power=-1.0, settle_time=1e-9)
+            with pytest.raises(ValueError, match="latency"):
+                self.static.charge_transfer(link, payload=8.0, latency=-1.0)
+        if recording is not None:       # telemetry.disabled() yields None
+            assert recording.counters == {}
 
 
 class TestSpecParsing:
@@ -309,7 +352,7 @@ class TestValueAwarePricing:
 
     def test_value_aware_total_below_static_on_sub_full_scale_inputs(self):
         def run(spec):
-            with use_model(spec):
+            with use_model(spec), telemetry.scoped() as scope:
                 core = CIMCore(
                     CIMCoreParams(rows=16, logical_cols=8),
                     rng=np.random.default_rng(0),
@@ -319,14 +362,14 @@ class TestValueAwarePricing:
                 core.vmm_batch(
                     rng.uniform(0.0, 0.5, size=(4, 16)), noisy=False
                 )
-                return core.costs.total
+            return RunReport.from_counters(scope.counters)
 
         static = run("static")
         aware = run("value_aware")
-        assert aware.energy < static.energy
+        assert aware.total_energy < static.total_energy
         # Timing and data movement never depend on the pricing model.
-        assert aware.latency == static.latency
-        assert aware.data_moved == static.data_moved
+        assert aware.total_latency == static.total_latency
+        assert aware.total_data_moved == static.total_data_moved
 
 
 ROWS = [

@@ -200,15 +200,20 @@ class TestFactorizationCache:
         assert solver.cache_evictions == 0
 
     def test_core_reports_eviction_side_counter(self):
-        """The core's side counters surface the solver's eviction count,
-        so accelerator/app-level reports can show cache pressure."""
+        """A core's IR-drop solves surface as solver counters in the
+        telemetry scope it ran in, so accelerator/app-level reports can
+        show cache pressure."""
+        from repro.utils import telemetry
+
         core = CIMCore(
             CIMCoreParams(rows=8, logical_cols=4, wire_resistance=2.0), rng=0
         )
         rng = np.random.default_rng(2)
         core.program_weights(rng.uniform(-1, 1, (8, 4)))
-        core.vmm(rng.uniform(0, 1, 8), noisy=False)
-        assert core.side_counters()["solver.cache_evictions"] == 0.0
+        with telemetry.scoped() as scope:
+            core.vmm(rng.uniform(0, 1, 8), noisy=False)
+        assert scope.count("solver.factorizations") == 1.0
+        assert scope.count("solver.cache_evictions") == 0.0
 
     def test_core_vmm_reuses_factorization(self):
         """Perf smoke (tier-1): repeated noiseless IR-drop VMMs on one

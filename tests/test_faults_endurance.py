@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from repro.crossbar.array import CrossbarArray, CrossbarConfig
+from repro.costs.models import WRITE_ENERGY_PER_CELL
 from repro.faults.endurance import EnduranceModel, EnduranceSimulator
+from repro.utils import telemetry
+
+
+def _energy(scope):
+    """Programming energy a telemetry scope captured (J)."""
+    return scope.count("cost.energy.programming")
 
 
 def _array(seed=0, n=16):
@@ -134,24 +141,26 @@ class TestWear:
         writes = np.zeros((8, 8))
         writes[0, :2] = [1.0, -1.0]
         assert writes.sum() == 0
-        with pytest.raises(ValueError, match=">= 0"):
-            sim.wear(writes)
-        assert sim.costs.total.energy == 0
+        with telemetry.scoped() as scope:
+            with pytest.raises(ValueError, match=">= 0"):
+                sim.wear(writes)
+        assert _energy(scope) == 0
         assert np.all(sim.write_cycles == 0)
 
     def test_zero_writes_is_a_noop(self):
         sim = self._sim()
-        energy_before = sim.costs.total.energy
-        assert sim.wear(np.zeros((8, 8))) == []
+        with telemetry.scoped() as scope:
+            assert sim.wear(np.zeros((8, 8))) == []
         assert sim.dead_cell_count == 0
-        assert sim.costs.total.energy == energy_before
+        assert _energy(scope) == 0
 
     def test_energy_charged_for_total_pulses(self):
         sim = self._sim(life=10**9)
         writes = np.zeros((8, 8))
         writes[0, :] = 5.0
-        sim.wear(writes)
-        assert sim.costs.total.energy > 0
+        with telemetry.scoped() as scope:
+            sim.wear(writes)
+        assert _energy(scope) == pytest.approx(WRITE_ENERGY_PER_CELL * 5.0 * 8)
 
     def test_only_heavily_written_cells_die(self):
         sim = self._sim(life=100, rng=3)
@@ -166,9 +175,11 @@ class TestWear:
     def test_uniform_wear_matches_cycle(self):
         a = self._sim(life=100, rng=7)
         b = self._sim(life=100, rng=7)
-        dead_a = a.wear(np.full((8, 8), 500.0))
-        dead_b = b.cycle(500.0)
+        with telemetry.scoped() as wear_scope:
+            dead_a = a.wear(np.full((8, 8), 500.0))
+        with telemetry.scoped() as cycle_scope:
+            dead_b = b.cycle(500.0)
         assert {(f.row, f.col) for f in dead_a} == {
             (f.row, f.col) for f in dead_b
         }
-        assert a.costs.total.energy == pytest.approx(b.costs.total.energy)
+        assert _energy(wear_scope) == pytest.approx(_energy(cycle_scope))

@@ -13,6 +13,7 @@ from repro.pipeline import (
     tiles_required,
 )
 from repro.pipeline.explore import reference_conv_graph, reference_graph
+from repro.utils import telemetry
 from repro.utils.telemetry import RunReport
 
 
@@ -142,10 +143,9 @@ class TestStageApply:
 class TestAccounting:
     def test_total_costs_cover_programming(self, rng):
         g = _mlp_graph(rng)
-        alloc = allocate(g, TileInventory(n_tiles=8), duplication="auto", rng=0)
-        costs = RunReport.reduce(
-            [accel.report() for stage in alloc.stages for accel in stage.replicas]
-        )
+        with telemetry.scoped() as scope:
+            allocate(g, TileInventory(n_tiles=8), duplication="auto", rng=0)
+        costs = RunReport.from_counters(scope.counters)
         assert costs.total_energy > 0
         assert "programming" in costs.categories
 

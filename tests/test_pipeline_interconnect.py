@@ -4,6 +4,7 @@ import pytest
 
 from repro.pipeline import Interconnect, InterconnectParams
 from repro.utils import telemetry
+from repro.utils.telemetry import RunReport
 
 
 class TestInterconnect:
@@ -17,31 +18,34 @@ class TestInterconnect:
 
     def test_transfer_charges_costs(self):
         ic = Interconnect()
-        lat = ic.transfer(100)
+        with telemetry.scoped() as scope:
+            lat = ic.transfer(100)
         assert lat > 0
-        entry = ic.costs.by_category["interconnect"]
-        assert entry.energy == pytest.approx(
+        entry = RunReport.from_counters(scope.counters).categories[
+            "interconnect"
+        ]
+        assert entry["energy"] == pytest.approx(
             200 * ic.params.energy_per_byte
         )
-        assert entry.data_moved == 200
+        assert entry["latency"] == lat
+        assert entry["data_moved"] == 200
         assert ic.transfers == 1
         assert ic.bytes_moved == 200
 
     def test_multi_hop_scales(self):
         one = Interconnect()
         two = Interconnect()
-        one.transfer(64, hops=1)
-        two.transfer(64, hops=2)
-        assert two.bytes_moved == 2 * one.bytes_moved
-        assert two.costs.total.latency == pytest.approx(
-            2 * one.costs.total.latency
+        assert two.transfer(64, hops=2) == pytest.approx(
+            2 * one.transfer(64, hops=1)
         )
+        assert two.bytes_moved == 2 * one.bytes_moved
 
     def test_zero_values_is_free(self):
         ic = Interconnect()
-        assert ic.transfer(0) == 0.0
+        with telemetry.scoped() as scope:
+            assert ic.transfer(0) == 0.0
         assert ic.transfers == 0
-        assert ic.costs.total.energy == 0
+        assert scope.counters == {}
 
     def test_negative_rejected(self):
         ic = Interconnect()
@@ -57,7 +61,7 @@ class TestInterconnect:
         counters = scope.snapshot(include_timers=False)["counters"]
         assert counters["pipeline.transfer.bytes"] == 200
         assert counters["pipeline.transfers"] == 1
-        # Energy mirrored by the cost accumulator too.
+        # The energy is booked as a cost counter in the same scope.
         assert counters["cost.energy.interconnect"] == pytest.approx(
             200 * ic.params.energy_per_byte
         )

@@ -35,11 +35,8 @@ def _mlp_setup(n_tiles=8, duplication="auto", seed=42):
     return graph, alloc, x
 
 
-def _lifetime(alloc):
-    """Every charge the allocation's tiles have booked so far."""
-    return RunReport.reduce(
-        [accel.report() for stage in alloc.stages for accel in stage.replicas]
-    )
+def _booked_energy(log, category):
+    return sum(charge[1] for charge in log if charge[0] == category)
 
 
 def _assert_results_equal(a, b):
@@ -190,10 +187,11 @@ class TestAccounting:
     def test_run_costs_exclude_programming(self):
         """The per-run report covers the inference phase only; the
         allocation-time programming charge stays out of the delta."""
-        _, alloc, x = _mlp_setup()
-        res = PipelineScheduler(alloc, ScheduleParams(micro_batch=4)).run(x)
+        with telemetry.scoped() as scope:
+            _, alloc, x = _mlp_setup()
+            res = PipelineScheduler(alloc, ScheduleParams(micro_batch=4)).run(x)
         assert "programming" not in res.categories
-        assert "programming" in _lifetime(alloc).categories
+        assert "programming" in RunReport.from_counters(scope.counters).categories
 
     def test_side_counters_reach_enclosing_scope(self):
         _, alloc, x = _mlp_setup()
@@ -206,11 +204,14 @@ class TestAccounting:
         assert counters["pipeline.tile_busy_s"] > 0
         assert any(k.startswith("pipeline.stage.") for k in counters)
 
-    def test_failed_pass_still_reaches_enclosing_scope(self, monkeypatch):
+    def test_failed_pass_still_reaches_enclosing_scope(
+        self, monkeypatch, booked
+    ):
         """A pass that raises inside a step still folds what it charged,
-        that step included, into the caller's scope: the scope and the
-        tiles' accumulators agree."""
+        that step included, into the caller's scope: the scope holds
+        every charge the energy model booked."""
         _, alloc, x = _mlp_setup()
+        booked.clear()
         last = alloc.stages[-1]
         apply = last.apply
 
@@ -225,8 +226,8 @@ class TestAccounting:
                 sched.execute(x)
         charged = RunReport.from_counters(scope.counters).categories
         assert charged["adc"]["energy"] > 0
-        assert charged["adc"] == pytest.approx(
-            _lifetime(alloc).categories["adc"], rel=1e-15, abs=0
+        assert charged["adc"]["energy"] == pytest.approx(
+            _booked_energy(booked, "adc"), rel=1e-15, abs=0
         )
 
     def test_transfer_bytes_match_payloads(self):
@@ -257,21 +258,22 @@ class TestPurity:
         assert first.makespan == second.makespan
         assert first.categories == second.categories
 
-    def test_lifetime_totals_still_cover_every_run(self):
-        """The tiles' lifetime totals grow by exactly what each run
-        charged."""
+    def test_lifetime_totals_still_cover_every_run(self, booked):
+        """The caller's scope grows by exactly what each run charged."""
         _, alloc, x = _mlp_setup()
         sched = PipelineScheduler(alloc, ScheduleParams(micro_batch=4))
-        res = sched.run(x)
-        assert _lifetime(alloc).categories["adc"] == pytest.approx(
-            res.categories["adc"], rel=1e-15, abs=0
-        )
-        sched.run(x)
-        assert _lifetime(alloc).categories["adc"]["energy"] == pytest.approx(
+        booked.clear()
+        with telemetry.scoped() as scope:
+            res = sched.run(x)
+            assert scope.count("cost.energy.adc") == pytest.approx(
+                _booked_energy(booked, "adc"), rel=1e-15, abs=0
+            )
+            sched.run(x)
+        lifetime = RunReport.from_counters(scope.counters).categories
+        assert lifetime["adc"]["energy"] == pytest.approx(
             2 * res.categories["adc"]["energy"], rel=1e-15, abs=0
         )
-        link = sched.interconnect.costs.total.data_moved
-        assert link == 2 * res.transfer_bytes
+        assert lifetime["interconnect"]["data_moved"] == 2 * res.transfer_bytes
 
     @pytest.mark.parametrize(
         "graph",

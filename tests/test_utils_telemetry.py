@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.core.metrics import CostAccumulator
 from repro.utils import telemetry
 from repro.utils.telemetry import (
     COST_PREFIXES,
@@ -102,12 +101,22 @@ class TestScoping:
     def test_null_telemetry_is_a_telemetry(self):
         assert isinstance(NullTelemetry(), Telemetry)
 
-    def test_cost_accumulator_mirrors_into_scope(self):
-        with telemetry.scoped() as scope:
-            acc = CostAccumulator()
-            acc.add("adc", energy=2.0, latency=1.0)
-        assert scope.count("cost.energy.adc") == 2.0
-        assert scope.count("cost.latency.adc") == 1.0
+    def test_nested_scope_folds_into_enclosing(self):
+        with telemetry.scoped() as outer:
+            telemetry.current().charge("adc", 1.0, 0.5, 0.0)
+            with telemetry.nested() as inner:
+                telemetry.current().charge("adc", 2.0, 1.0, 0.0)
+            assert inner.counters["cost.energy.adc"] == 2.0
+        assert outer.count("cost.energy.adc") == 3.0
+        assert outer.count("cost.latency.adc") == 1.5
+
+    def test_nested_scope_folds_when_the_block_raises(self):
+        with telemetry.scoped() as outer:
+            with pytest.raises(RuntimeError):
+                with telemetry.nested():
+                    telemetry.current().incr("work", 2.0)
+                    raise RuntimeError("failed")
+        assert outer.counters == {"work": 2.0}
 
 
 class TestAsyncScopeIsolation:
@@ -262,13 +271,6 @@ class TestRunReport:
         assert all(
             not k.startswith(COST_PREFIXES) for k in r.counters
         )
-
-    def test_from_cost_accumulator(self):
-        with telemetry.scoped():
-            acc = CostAccumulator()
-            acc.add("adc", energy=5.0)
-        r = RunReport.from_cost_accumulator(acc, label="acc")
-        assert r.categories["adc"]["energy"] == 5.0
 
     def test_category_table_rows(self):
         rows = self._sample().category_table()
