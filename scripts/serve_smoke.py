@@ -9,9 +9,10 @@ re-submits each job and asserts the second response is
 a results-cache hit that is bit-identical to the cold one — the serving
 layer's core contract, exercised through the same process boundary users
 cross.  The served logits must equal the same model deployed in this
-process.  An input containing NaN, a sweep at yield 1.5 and an ``ecc``
-job with ``words_per_array: 0`` must each be a ``bad_request`` that
-leaves the server answering.  Every cold ``ecc`` row must carry a
+process.  An input containing NaN, a ``train`` job with a NaN
+``drift_nus``, a sweep at yield 1.5 and an ``ecc`` job with
+``words_per_array: 0`` must each be a ``bad_request`` that leaves the
+server answering.  Every cold ``ecc`` row must carry a
 coverage in [0, 1] and a non-negative ``word_failure_se``.  The
 ``train`` job covers the device write path (write-verify, endurance wear,
 programming energy).  Its cold run fans out over two sweep workers and its warm run asks for none, so the hit also proves the
@@ -146,6 +147,12 @@ def main():
             # The sweep below is then served as usual.
             cold = cold_then_warm(client, "sweep", SWEEP)
             print(f"serve_smoke: sweep ok ({len(cold['result']['rows'])} rows)")
+            bad = client.request("train", {**TRAIN, "drift_nus": [math.nan]})
+            code = (bad.get("error") or {}).get("code")
+            if bad.get("ok") or code != "bad_request":
+                fail(f"train with a NaN drift_nus must be a bad_request, got {bad}")
+            print("serve_smoke: NaN train parameter is a bad_request")
+            # The train job below is then served as usual.
             cold = cold_then_warm(client, "train", TRAIN, workers=2)
             if not cold["report"]["totals"]["energy"] > 0:
                 fail(f"parallel train report is empty: {cold['report']}")

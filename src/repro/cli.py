@@ -9,11 +9,20 @@ Usage::
     python -m repro.cli eda adder4      # EDA flow comparison on a circuit
     python -m repro.cli chip            # accelerator dimensioning sweeps
     python -m repro.cli report          # instrumented telemetry run report
-    python -m repro.cli pipeline        # pipelined multi-tile DSE curve
+    python -m repro.cli pipeline        # pipelined multi-tile DSE + Pareto front
+    python -m repro.cli ecc-advisor     # ECC code per yield/workload
+    python -m repro.cli attention       # fork-join attention DSE
+    python -m repro.cli train           # in-situ training under wear/drift
     python -m repro.cli serve           # simulation job server (batching+cache)
     python -m repro.cli submit stats    # query a running server
 
 (or ``cimflow <command>`` once the package is installed).
+
+``pipeline``, ``ecc-advisor``, ``attention`` and ``train`` are clients of
+the served job kinds ``dse``, ``ecc``, ``attention`` and ``train``
+(:data:`repro.serve.service.JOB_KINDS`): their flags are generated from
+the kind's defaults, and the request is checked and run in-process by
+the kind's own ``prepare`` and ``execute``, the code that serves it.
 """
 
 from __future__ import annotations
@@ -160,11 +169,7 @@ def _instrumented_report(args, energy_model: str, verbose: bool = True):
     Returns ``None`` after printing why the run was rejected."""
     if args.source == "pipeline":
         result, report = _run_job(
-            "pipeline",
-            args,
-            workload="mlp",
-            batch=args.batch,
-            energy_model=energy_model,
+            "pipeline", args, workload="mlp", energy_model=energy_model
         )
         if result is not None and verbose:
             _print_table(
@@ -278,40 +283,31 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _run_job(name: str, args, **params):
-    """Run the ``cimflow serve`` job kind ``name`` in-process on its
-    defaults overridden by ``params`` and ``--seed``, priced under
-    ``params["energy_model"]`` if given, else ``--energy-model``: the CLI
-    and the server share one library call.  Returns the job's ``(result,
-    report)``, or ``(None, None)`` after printing why the parameters were
-    rejected."""
-    from repro.costs import use_model
+def _run_job(name: str, args, /, **params):
+    """Run the ``cimflow serve`` job kind ``name`` in-process through the
+    server's own :meth:`~repro.serve.service.JobKind.prepare` and
+    :meth:`~repro.serve.service.JobKind.execute`.  The request is every
+    ``args`` attribute named like one of the kind's parameters (a job
+    command's generated flags, ``--seed`` and ``--energy-model``) plus
+    ``--workers``, overridden by ``params``.  Returns the job's
+    ``(result, report)``, or ``(None, None)`` after printing why the
+    request was rejected."""
     from repro.serve.cache import ArtifactCache
     from repro.serve.service import JOB_KINDS, BadRequestError
 
     kind = JOB_KINDS[name]
-    cfg = {
-        **kind.defaults,
-        "energy_model": args.energy_model,
+    request = {
+        **{k: v for k, v in vars(args).items() if k in kind.defaults},
+        # ``report`` has no ``--workers``; its pipeline job is serial.
+        "workers": getattr(args, "workers", 0),
         **params,
-        "seed": args.seed,
     }
     try:
-        with use_model(cfg["energy_model"]):
-            # ``report`` has no ``--workers``; its pipeline job is serial.
-            result, report = kind.run(
-                cfg, getattr(args, "workers", 0), ArtifactCache()
-            )
-    except (ValueError, BadRequestError) as exc:
+        cfg, workers, spec = kind.prepare(name, request)
+        return kind.execute(name, cfg, workers, spec, ArtifactCache())
+    except BadRequestError as exc:
         print(str(exc), file=sys.stderr)
         return None, None
-    report.label = name
-    return result, report
-
-
-def _csv(text: str, kind=str) -> list:
-    """A comma-separated flag value as a list of ``kind``."""
-    return [kind(v.strip()) for v in text.split(",") if v.strip()]
 
 
 def _write_json(path: Optional[str], payload, what: str) -> None:
@@ -324,18 +320,18 @@ def _write_json(path: Optional[str], payload, what: str) -> None:
         print(f"{what} written to {path}")
 
 
+def _csv(item: type):
+    """Flag type: a comma-separated value as a list of ``item``."""
+
+    def parse(text: str) -> list:
+        return [item(v.strip()) for v in text.split(",") if v.strip()]
+
+    parse.__name__ = f"comma-separated {item.__name__}"
+    return parse
+
+
 def cmd_pipeline(args) -> int:
-    names = _csv(args.objectives) if args.objectives else None
-    result, _ = _run_job(
-        "dse",
-        args,
-        tile_counts=_csv(args.tiles, int),
-        batch_sizes=[args.batch],
-        adc_bits=_csv(args.adc_bits, int),
-        workload=args.workload,
-        micro_batch=args.micro_batch,
-        **({"objectives": names} if names else {}),
-    )
+    result, _ = _run_job("dse", args)
     if result is None:
         return 2
     rows = result["rows"]
@@ -363,8 +359,8 @@ def cmd_pipeline(args) -> int:
 
     _print_table(
         f"Pipelined multi-tile DSE ({args.workload}): throughput/efficiency "
-        f"vs tiles (batch {args.batch}, micro-batch {args.micro_batch}, "
-        f"{args.energy_model} energy model)",
+        f"vs tiles (batch {','.join(map(str, args.batch_sizes))}, "
+        f"micro-batch {args.micro_batch}, {args.energy_model} energy model)",
         _display(rows),
     )
     best = max(
@@ -378,51 +374,40 @@ def cmd_pipeline(args) -> int:
             f"duplication) -> {best['throughput']:.3e} samples/s, "
             f"{best['speedup']:.2f}x over layer-sequential"
         )
-    if names:
-        analysis = result["pareto"]
-        front_display = _display(analysis["front"])
-        for shown, row in zip(front_display, analysis["front"]):
-            shown["knee"] = row["knee"]
-        _print_table(
-            f"Pareto front over {', '.join(names)} "
-            f"({len(analysis['front'])} of "
-            f"{analysis['feasible_points']} feasible points)",
-            front_display,
+    analysis = result["pareto"]
+    front_display = _display(analysis["front"])
+    for shown, row in zip(front_display, analysis["front"]):
+        shown["knee"] = row["knee"]
+    _print_table(
+        f"Pareto front over {', '.join(args.objectives)} "
+        f"({len(analysis['front'])} of "
+        f"{analysis['feasible_points']} feasible points)",
+        front_display,
+    )
+    knee = analysis["knee"]
+    if knee is not None:
+        print(
+            f"\nknee point: {knee['tiles']} tiles, "
+            f"{knee['duplication']} duplication, "
+            f"{knee['adc_bits']}-bit ADC -> "
+            f"accuracy {knee['accuracy']:.3f}, "
+            f"{knee['energy_per_sample']:.3e} J/sample, "
+            f"{knee['area_mm2']:.4f} mm^2, "
+            f"{knee['throughput']:.3e} samples/s"
         )
-        knee = analysis["knee"]
-        if knee is not None:
-            print(
-                f"\nknee point: {knee['tiles']} tiles, "
-                f"{knee['duplication']} duplication, "
-                f"{knee['adc_bits']}-bit ADC -> "
-                f"accuracy {knee['accuracy']:.3f}, "
-                f"{knee['energy_per_sample']:.3e} J/sample, "
-                f"{knee['area_mm2']:.4f} mm^2, "
-                f"{knee['throughput']:.3e} samples/s"
-            )
-        _print_table(
-            "Parameter sensitivity (main effect / objective span)",
-            [
-                {"parameter": param, **per_objective}
-                for param, per_objective in analysis["sensitivity"].items()
-            ],
-        )
-    _write_json(args.json, result if names else rows, "exploration rows")
+    _print_table(
+        "Parameter sensitivity (main effect / objective span)",
+        [
+            {"parameter": param, **per_objective}
+            for param, per_objective in analysis["sensitivity"].items()
+        ],
+    )
+    _write_json(args.json, result, "exploration result")
     return 0
 
 
 def cmd_ecc_advisor(args) -> int:
-    codes = _csv(args.codes)
-    yields = _csv(args.yields, float)
-    result, _ = _run_job(
-        "ecc",
-        args,
-        codes=codes,
-        yields=yields,
-        data_bits=args.data_bits,
-        mc_words=args.mc_words,
-        trials=args.trials,
-    )
+    result, _ = _run_job("ecc", args)
     if result is None:
         return 2
     rows, analysis = result["rows"], result["advice"]
@@ -444,9 +429,9 @@ def cmd_ecc_advisor(args) -> int:
         ]
 
     _print_table(
-        f"ECC co-design sweep: {len(codes)} codes x {len(yields)} yields x "
-        f"workload scenarios ({args.energy_model} energy model, "
-        f"{args.mc_words} MC words/trial)",
+        f"ECC co-design sweep: {len(args.codes)} codes x "
+        f"{len(args.yields)} yields x workload scenarios "
+        f"({args.energy_model} energy model, {args.mc_words} MC words/trial)",
         _display(rows),
     )
     _print_table(
@@ -488,22 +473,13 @@ def cmd_ecc_advisor(args) -> int:
 
 
 def cmd_attention(args) -> int:
-    result, _ = _run_job(
-        "attention",
-        args,
-        seqs=_csv(args.seqs, int),
-        d_heads=_csv(args.d_heads, int),
-        micro_batches=_csv(args.micro_batches, int),
-        d_model=args.d_model,
-        batch=args.batch,
-        n_tiles=args.tiles,
-    )
+    result, _ = _run_job("attention", args)
     if result is None:
         return 2
     rows = result["rows"]
     _print_table(
         f"Attention fork-join DSE (d_model {args.d_model}, batch "
-        f"{args.batch}, {args.tiles} tiles, {args.energy_model} energy "
+        f"{args.batch}, {args.n_tiles} tiles, {args.energy_model} energy "
         "model)",
         [
             {
@@ -537,14 +513,7 @@ def cmd_attention(args) -> int:
 
 
 def cmd_train(args) -> int:
-    result, _ = _run_job(
-        "train",
-        args,
-        lives=_csv(args.lives, float),
-        drift_nus=_csv(args.drift_nus, float),
-        epochs=args.epochs,
-        write_sigma=args.write_sigma,
-    )
+    result, _ = _run_job("train", args)
     if result is None:
         return 2
     rows = result["rows"]
@@ -690,20 +659,42 @@ def _add_workers_arg(sub_parser) -> None:
     )
 
 
-def _request_kind(value: str) -> str:
-    """``submit``'s kind, checked against the server's kinds on use (so
-    other commands never import the serving layer)."""
-    from repro.serve.service import REQUEST_KINDS
+def _add_job_command(sub, command: str, name: str, help: str, **aliases):
+    """The subcommand ``command``: a client of the ``cimflow serve`` job
+    kind ``name`` with one ``--<key>`` flag per parameter, typed and
+    defaulted from ``JOB_KINDS[name].defaults`` (a list flag takes
+    comma-separated values of its first element's type, ``str`` when the
+    default is empty).  ``aliases`` maps a key to an extra spelling.
+    ``seed`` is the global ``--seed``; ``energy_model`` is
+    ``--energy-model``."""
+    from repro.serve.service import JOB_KINDS
 
-    if value not in REQUEST_KINDS:
-        raise argparse.ArgumentTypeError(
-            f"invalid choice: {value!r} "
-            f"(choose from {', '.join(REQUEST_KINDS)})"
+    parser = sub.add_parser(command, help=help)
+    for key, default in JOB_KINDS[name].defaults.items():
+        if key in ("seed", "energy_model"):
+            continue
+        flags = [f"--{key.replace('_', '-')}"]
+        if key in aliases:
+            flags.append(aliases[key])
+        if isinstance(default, list):
+            parse = _csv(type(default[0]) if default else str)
+            shown = ",".join(map(str, default)) or "none"
+        else:
+            parse, shown = type(default), default
+        parser.add_argument(
+            *flags, dest=key, type=parse, default=default,
+            help=f"{name} parameter {key} (default {shown})",
         )
-    return value
+    parser.add_argument(
+        "--json", default=None, help="also write the output JSON to this path"
+    )
+    _add_energy_model_arg(parser)
+    _add_workers_arg(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.serve.service import REQUEST_KINDS
+
     parser = argparse.ArgumentParser(
         prog="cimflow",
         description=(
@@ -768,141 +759,24 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    pipe = sub.add_parser(
-        "pipeline", help="pipelined multi-tile DSE: throughput vs tiles"
+    _add_job_command(
+        sub, "pipeline", "dse",
+        "pipelined multi-tile DSE: throughput vs tiles, Pareto front",
+        tile_counts="--tiles", batch_sizes="--batch",
     )
-    pipe.add_argument(
-        "--tiles",
-        default="4,8,16,32",
-        help="comma-separated tile inventories to sweep",
+    _add_job_command(
+        sub, "ecc-advisor", "ecc",
+        "ECC co-design: Pareto-select a code per yield/workload",
     )
-    pipe.add_argument("--batch", type=int, default=64)
-    pipe.add_argument("--micro-batch", type=int, default=8)
-    pipe.add_argument(
-        "--adc-bits",
-        default="8",
-        help="comma-separated ADC resolutions to sweep (default 8)",
+    _add_job_command(
+        sub, "attention", "attention",
+        "fork-join attention block DSE through the pipeline IR",
+        n_tiles="--tiles",
     )
-    pipe.add_argument(
-        "--workload",
-        choices=("cnn", "mlp"),
-        default="cnn",
-        help="reference model (cnn = conv-bottlenecked, default)",
+    _add_job_command(
+        sub, "train", "train",
+        "in-situ training: accuracy vs epochs under endurance/drift",
     )
-    pipe.add_argument(
-        "--objectives",
-        default=None,
-        help=(
-            "comma-separated objectives (accuracy, energy, area, "
-            "throughput); when given, the grid is reduced to a Pareto "
-            "front with a knee point and parameter sensitivities"
-        ),
-    )
-    pipe.add_argument(
-        "--json", default=None, help="also write the rows as JSON to this path"
-    )
-    _add_energy_model_arg(pipe)
-    _add_workers_arg(pipe)
-
-    ecc = sub.add_parser(
-        "ecc-advisor",
-        help="ECC co-design: Pareto-select a code per yield/workload",
-    )
-    ecc.add_argument(
-        "--codes",
-        default="secded,bch,secdaec",
-        help="comma-separated ECC codes to sweep (default all registered)",
-    )
-    ecc.add_argument(
-        "--yields",
-        default="0.9999,0.999,0.99,0.97",
-        help="comma-separated crossbar cell yields to sweep",
-    )
-    ecc.add_argument(
-        "--data-bits",
-        type=int,
-        default=32,
-        help="protected word width (default 32)",
-    )
-    ecc.add_argument(
-        "--mc-words",
-        type=int,
-        default=4096,
-        help="Monte Carlo words per trial (default 4096)",
-    )
-    ecc.add_argument(
-        "--trials",
-        type=int,
-        default=2,
-        help="independent trials per grid point (default 2)",
-    )
-    ecc.add_argument(
-        "--json",
-        default=None,
-        help="also write rows + advice as JSON to this path",
-    )
-    _add_energy_model_arg(ecc)
-    _add_workers_arg(ecc)
-
-    att = sub.add_parser(
-        "attention",
-        help="fork-join attention block DSE through the pipeline IR",
-    )
-    att.add_argument(
-        "--seqs",
-        default="4,8",
-        help="comma-separated sequence lengths to sweep (default 4,8)",
-    )
-    att.add_argument(
-        "--d-heads",
-        default="4,8",
-        help="comma-separated head widths to sweep (default 4,8)",
-    )
-    att.add_argument(
-        "--micro-batches",
-        default="4",
-        help="comma-separated micro-batch sizes to sweep (default 4)",
-    )
-    att.add_argument("--d-model", type=int, default=16)
-    att.add_argument("--batch", type=int, default=16)
-    att.add_argument(
-        "--tiles", type=int, default=16, help="tile inventory (default 16)"
-    )
-    att.add_argument(
-        "--json", default=None, help="also write the rows as JSON to this path"
-    )
-    _add_energy_model_arg(att)
-    _add_workers_arg(att)
-
-    train = sub.add_parser(
-        "train",
-        help="in-situ training: accuracy vs epochs under endurance/drift",
-    )
-    train.add_argument(
-        "--lives",
-        default="8,12,1e6",
-        help=(
-            "comma-separated Weibull characteristic lives in writes "
-            "(default 8,12,1e6)"
-        ),
-    )
-    train.add_argument(
-        "--drift-nus",
-        default="0.0,0.01",
-        help="comma-separated drift exponents to sweep (default 0.0,0.01)",
-    )
-    train.add_argument("--epochs", type=int, default=5)
-    train.add_argument(
-        "--write-sigma",
-        type=float,
-        default=0.05,
-        help="lognormal programming-noise sigma (default 0.05)",
-    )
-    train.add_argument(
-        "--json", default=None, help="also write the rows as JSON to this path"
-    )
-    _add_energy_model_arg(train)
-    _add_workers_arg(train)
 
     serve = sub.add_parser(
         "serve", help="run the simulation job server (JSON-lines over TCP)"
@@ -932,7 +806,7 @@ def build_parser() -> argparse.ArgumentParser:
         "submit", help="submit one request to a running cimflow serve"
     )
     submit.add_argument(
-        "kind", type=_request_kind, help="request kind, as the server names it"
+        "kind", choices=REQUEST_KINDS, help="request kind, as the server names it"
     )
     submit.add_argument(
         "--params",

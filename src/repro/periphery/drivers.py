@@ -88,7 +88,8 @@ class RowDecoder:
 
 
 class WordlineDriver:
-    """Applies voltages to the activated wordlines and accounts energy."""
+    """Applies voltages to the activated wordlines and counts activations
+    (the energy model prices them)."""
 
     def __init__(self, n_rows: int, config: Optional[DriverConfig] = None) -> None:
         if n_rows < 1:
@@ -106,11 +107,6 @@ class WordlineDriver:
     def activations(self) -> int:
         """Total wordline activation events so far."""
         return self._activations
-
-    @property
-    def energy_consumed(self) -> float:
-        """Total drive energy so far (J)."""
-        return self._activations * self.config.energy_per_activation
 
     def drive(self, mask: np.ndarray, voltage: float) -> np.ndarray:
         """Voltage vector for the array: ``voltage`` on active rows, 0

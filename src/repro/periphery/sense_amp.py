@@ -63,11 +63,6 @@ class SenseAmplifier:
         """Number of comparisons performed."""
         return self._sense_count
 
-    @property
-    def energy_consumed(self) -> float:
-        """Total sensing energy so far (J)."""
-        return self._sense_count * self.config.energy_per_sense
-
     def compare(self, current: float, reference: float) -> bool:
         """``True`` iff ``current + offset > reference``."""
         self._sense_count += 1

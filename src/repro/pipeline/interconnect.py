@@ -56,8 +56,6 @@ class Interconnect:
 
     def __init__(self, params: InterconnectParams = None) -> None:
         self.params = params or InterconnectParams()
-        self.transfers = 0
-        self.bytes_moved = 0
 
     def transfer_latency(self, n_values: int) -> float:
         """Wire time for ``n_values`` activations (setup + serialization)."""
@@ -92,8 +90,6 @@ class Interconnect:
             latency=latency,
             values=values,
         )
-        self.transfers += 1
-        self.bytes_moved += payload
         telemetry.current().incr("pipeline.transfer.bytes", payload)
         telemetry.current().incr("pipeline.transfers")
         return latency

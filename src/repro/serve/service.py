@@ -32,6 +32,7 @@ never served.
 from __future__ import annotations
 
 import asyncio
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
@@ -263,7 +264,8 @@ def _normalize(
     :func:`_type_matches`); a mismatch is a bad request naming the field,
     never a ``TypeError`` from deep inside the run.  Values are checked,
     not coerced, so fingerprints of valid requests are unchanged.
-    ``energy_model`` is left to its own parser (:func:`_energy_spec`).
+    Float values must also be finite.  ``energy_model`` is left to its
+    own parser (:func:`_energy_spec`).
     """
     if params is not None and not isinstance(params, dict):
         raise BadRequestError(f"{what} parameters must be a JSON object")
@@ -278,14 +280,22 @@ def _normalize(
     for name in sorted(params):
         if name == "energy_model":
             continue
-        default = defaults[name]
-        if not _type_matches(params[name], default):
+        default, value = defaults[name], params[name]
+        if not _type_matches(value, default):
             want = _type_name(default)
             if want == "list" and default:
                 want = f"list of {_type_name(default[0])}"
             raise BadRequestError(
-                f"{what} parameter {name!r} must be {want}, got "
-                f"{params[name]!r}",
+                f"{what} parameter {name!r} must be {want}, got {value!r}",
+                field=name,
+            )
+        # JSON admits NaN and Infinity; no float parameter means either,
+        # and a response carrying one would not be strict JSON.
+        values = value if isinstance(default, list) else [value]
+        item = default[0] if isinstance(default, list) and default else default
+        if _type_name(item) == "float" and not all(map(math.isfinite, values)):
+            raise BadRequestError(
+                f"{what} parameter {name!r} must be finite, got {value!r}",
                 field=name,
             )
     out = dict(defaults)
@@ -295,10 +305,10 @@ def _normalize(
 
 # --------------------------------------------------------------- job kinds
 # Each ``run(cfg, workers, artifacts)`` is only the library call and the
-# result assembly for one normalized config; the caller prices it (the
-# energy model is active around the call) and owns caching, locking and
-# error mapping.  Library imports stay inside each run, so importing the
-# service stays cheap.
+# result assembly for one normalized config; :meth:`JobKind.execute`
+# prices it (the energy model is active around the call) and maps its
+# errors.  Library imports stay inside each run, so importing the service
+# stays cheap.
 
 
 def _scope_report(scope: telemetry.Telemetry, label: str = "run") -> RunReport:
@@ -467,13 +477,63 @@ class JobKind:
     """A compute job kind: its parameter defaults (the normalization and
     type table) and its ``run(cfg, workers, artifacts) -> (result,
     RunReport)``.  ``workers`` is the sweep-engine worker count (never
-    part of the result); ``artifacts`` is the service's artifact cache."""
+    part of the result); ``artifacts`` is an artifact cache.
+
+    :meth:`prepare` and :meth:`execute` are the one path from request
+    parameters to a labelled report: the server puts its results cache
+    and compute lock between them, the CLI calls them back to back."""
 
     defaults: Dict[str, Any]
     run: Callable[
         [Dict[str, Any], Optional[int], Optional[ArtifactCache]],
         Tuple[Any, RunReport],
     ]
+
+    def prepare(
+        self, name: str, params: Dict[str, Any]
+    ) -> Tuple[Dict[str, Any], Optional[int], Any]:
+        """Check request parameters: returns ``(cfg, workers, spec)``, the
+        normalized config (the results-cache key material), the worker
+        count and the parsed energy-model spec, or raises
+        :class:`BadRequestError` naming the bad field."""
+        params = dict(params)
+        # ``workers`` never changes results (every engine is bit-identical
+        # at any worker count), so it stays out of the config; ``null``
+        # means ``$REPRO_WORKERS``.
+        workers = params.pop("workers", 0)
+        if workers is not None and _type_name(workers) != "int":
+            raise BadRequestError(
+                f"{name} parameter 'workers' must be int or null, got "
+                f"{workers!r}",
+                field="workers",
+            )
+        cfg = _normalize(params, self.defaults, name)
+        # The parsed spec is part of the config: static and value-aware
+        # runs of the same parameters never share a warm hit.
+        spec = _energy_spec(cfg["energy_model"])
+        cfg["energy_model"] = spec.to_dict()
+        return cfg, workers, spec
+
+    def execute(
+        self,
+        name: str,
+        cfg: Dict[str, Any],
+        workers: Optional[int],
+        spec: Any,
+        artifacts: ArtifactCache,
+    ) -> Tuple[Any, RunReport]:
+        """Run a prepared config priced under ``spec``; a ``ValueError``
+        from the job's own validation becomes a :class:`BadRequestError`,
+        and the report is labelled with the kind."""
+        from repro.costs.models import use_model
+
+        try:
+            with use_model(spec):
+                result, report = self.run(cfg, workers, artifacts)
+        except ValueError as exc:
+            raise BadRequestError(f"bad {name} request: {exc}") from None
+        report.label = name
+        return result, report
 
 
 #: The compute job kinds behind ``cimflow serve`` and the matching CLI
@@ -683,42 +743,18 @@ class SimulationService:
     async def _handle_job(
         self, name: str, params: Dict[str, Any]
     ) -> Dict[str, Any]:
-        """Serve one :data:`JOB_KINDS` request: normalize, look up the
-        results cache, then run the job off the event loop, one at a time,
-        under the requested energy model."""
+        """Serve one :data:`JOB_KINDS` request: prepare it, look up the
+        results cache, then execute it off the event loop, one at a
+        time."""
         kind = JOB_KINDS[name]
-        params = dict(params)
-        # ``workers`` never changes results (every engine is bit-identical
-        # at any worker count), so it stays out of the key; ``null`` means
-        # ``$REPRO_WORKERS``.
-        workers = params.pop("workers", 0)
-        if workers is not None and _type_name(workers) != "int":
-            raise BadRequestError(
-                f"{name} parameter 'workers' must be int or null, got "
-                f"{workers!r}",
-                field="workers",
-            )
-        cfg = _normalize(params, kind.defaults, name)
-        # The parsed spec is part of the key: static and value-aware runs
-        # of the same config can never share a warm hit.
-        spec = _energy_spec(cfg["energy_model"])
-        cfg["energy_model"] = spec.to_dict()
+        cfg, workers, spec = kind.prepare(name, params)
         key, hit = self._cached(name, cfg)
         if hit is not None:
             return self._response(name, "hit", hit)
-
-        def _run() -> Tuple[Any, RunReport]:
-            from repro.costs.models import use_model
-
-            with use_model(spec):
-                return kind.run(cfg, workers, self.artifacts)
-
-        try:
-            async with self._compute_lock:
-                result, report = await asyncio.to_thread(_run)
-        except ValueError as exc:
-            raise BadRequestError(f"bad {name} request: {exc}") from None
-        report.label = name
+        async with self._compute_lock:
+            result, report = await asyncio.to_thread(
+                kind.execute, name, cfg, workers, spec, self.artifacts
+            )
         return self._finish(name, key, result, report)
 
     # ----------------------------------------------------------- kind:infer

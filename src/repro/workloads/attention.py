@@ -162,7 +162,7 @@ def run_attention(
         rng=ensure_rng(rng),
     )
     sched = PipelineScheduler(alloc, ScheduleParams(micro_batch=micro_batch))
-    with telemetry.scoped() as scope:
+    with telemetry.nested() as scope:
         trace = sched.execute(flat, noisy=noisy)
         seq_run = trace.schedule("sequential")
         pipe_run = trace.schedule("pipelined")

@@ -75,8 +75,8 @@ class TestParser:
                 "mlp",
             ]
         )
-        assert args.tiles == "8,16"
-        assert args.batch == 32
+        assert args.tile_counts == [8, 16]
+        assert args.batch_sizes == [32]
         assert args.micro_batch == 4
         assert args.workload == "mlp"
 
@@ -137,8 +137,8 @@ class TestParser:
                 "1",
             ]
         )
-        assert args.codes == "secded,bch"
-        assert args.yields == "0.999,0.99"
+        assert args.codes == ["secded", "bch"]
+        assert args.yields == [0.999, 0.99]
         assert args.data_bits == 16
         assert args.mc_words == 256
         assert args.trials == 1
@@ -168,11 +168,11 @@ class TestParser:
                 "12",
             ]
         )
-        assert args.seqs == "4,8"
-        assert args.d_heads == "4"
-        assert args.micro_batches == "2,4"
+        assert args.seqs == [4, 8]
+        assert args.d_heads == [4]
+        assert args.micro_batches == [2, 4]
         assert args.d_model == 8
-        assert args.tiles == 12
+        assert args.n_tiles == 12
 
     def test_train_options(self):
         args = build_parser().parse_args(
@@ -186,8 +186,8 @@ class TestParser:
                 "3",
             ]
         )
-        assert args.lives == "8,1e6"
-        assert args.drift_nus == "0.0"
+        assert args.lives == [8.0, 1e6]
+        assert args.drift_nus == [0.0]
         assert args.epochs == 3
         # The update backend is a library test oracle, not a CLI flag.
         with pytest.raises(SystemExit):
@@ -284,7 +284,7 @@ class TestExecution:
             )
             == 0
         )
-        rows = json.loads(path.read_text())
+        rows = json.loads(path.read_text())["rows"]
         assert rows and rows[0]["tiles"] == 4
         assert rows[0]["feasible"] is True
 
@@ -518,6 +518,14 @@ class TestSharedJobPath:
                  "energy_model": "value_aware"},
                 None,
             ),
+            (
+                ["pipeline", "--tiles", "4", "--batch", "8",
+                 "--micro-batch", "4", "--workload", "mlp"],
+                "dse",
+                {"tile_counts": [4], "batch_sizes": [8], "micro_batch": 4,
+                 "workload": "mlp"},
+                None,
+            ),
         ],
     )
     def test_cli_json_equals_serve_result(
@@ -539,6 +547,32 @@ class TestSharedJobPath:
         served = response["result"] if key is None else response["result"][key]
         assert json.loads(path.read_text()) == served
 
+    @pytest.mark.parametrize(
+        "argv, kind, params",
+        [
+            (["pipeline", "--workload", "rnn"], "dse", {"workload": "rnn"}),
+            (["ecc-advisor", "--codes", "rs255"], "ecc", {"codes": ["rs255"]}),
+            (["attention", "--d-model", "0"], "attention", {"d_model": 0}),
+            (["train", "--drift-nus", "nan"], "train",
+             {"drift_nus": [float("nan")]}),
+        ],
+    )
+    def test_bad_parameter_is_the_served_bad_request(
+        self, capsys, argv, kind, params
+    ):
+        """A rejected parameter exits 2 with the message the server
+        answers the same request with."""
+        import asyncio
+
+        from repro.serve import BadRequestError, SimulationService
+
+        assert main([*argv, "--workers", "0"]) == 2
+        with pytest.raises(BadRequestError) as info:
+            asyncio.run(
+                SimulationService().submit({"kind": kind, "params": params})
+            )
+        assert capsys.readouterr().err == f"{info.value}\n"
+
     def test_report_pipeline_json_equals_serve_report(self, tmp_path, capsys):
         """``report --source pipeline`` runs the served ``pipeline`` kind on
         the reference MLP: its ``--json`` report is the served report."""
@@ -558,3 +592,117 @@ class TestSharedJobPath:
             )
         )
         assert json.loads(path.read_text()) == response["report"]
+
+
+#: The job commands and the ``cimflow serve`` kinds they are clients of.
+JOB_COMMANDS = {
+    "pipeline": "dse", "ecc-advisor": "ecc", "attention": "attention",
+    "train": "train",
+}
+
+
+def _malformed(default):
+    """Values that never have the type of ``default`` (see
+    ``repro.serve.service._type_matches``): ``null``, other scalars,
+    nested lists, and non-finite numbers where a float is due."""
+    from hypothesis import strategies as st
+
+    null, flag = st.none(), st.booleans()
+    count, text = st.integers(-3, 3), st.text(max_size=3)
+    real = st.floats(allow_nan=True, allow_infinity=True)
+    nested = st.lists(st.lists(count, max_size=2), min_size=1, max_size=2)
+    table = st.dictionaries(text, count, max_size=2)
+    wrong = {
+        int: [null, flag, real, text, nested, table],
+        float: [null, flag, text, nested, table,
+                st.sampled_from([float("nan"), float("inf"), -float("inf")])],
+        str: [null, flag, count, real, nested, table],
+    }
+    if not isinstance(default, list):
+        return st.one_of(*wrong[type(default)])
+    scalars = st.one_of(null, flag, count, real, text, table)
+    if not default:
+        return scalars
+    items = st.lists(st.one_of(*wrong[type(default[0])]), min_size=1, max_size=3)
+    return st.one_of(scalars, items)
+
+
+class TestMalformedParams:
+    """Type-malformed parameters (unknown keys, wrong types, ``null``,
+    nested lists, non-finite floats) are a ``bad_request`` through both
+    entry points, never another exception; none reaches compute."""
+
+    @staticmethod
+    def _malformed_request(data, command):
+        from hypothesis import strategies as st
+
+        from repro.serve.service import JOB_KINDS
+
+        defaults = JOB_KINDS[JOB_COMMANDS[command]].defaults
+        key = data.draw(
+            st.sampled_from(
+                [k for k in defaults if k != "energy_model"] + ["workers", None]
+            )
+        )
+        if key is None:  # an unknown key
+            key = data.draw(
+                st.text(min_size=1, max_size=6).filter(
+                    lambda k: k not in defaults and k != "workers"
+                )
+            )
+            return {key: data.draw(st.integers())}
+        if key == "workers":
+            return {key: data.draw(_malformed(1).filter(lambda v: v is not None))}
+        return {key: data.draw(_malformed(defaults[key]))}
+
+    @pytest.mark.parametrize("command", sorted(JOB_COMMANDS))
+    def test_malformed_params_are_bad_requests(self, command):
+        import asyncio
+
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        from repro.cli import _run_job
+        from repro.serve import BadRequestError, SimulationService
+
+        args = build_parser().parse_args([command])
+        kind = JOB_COMMANDS[command]
+
+        @settings(max_examples=40, deadline=None)
+        @given(data=st.data())
+        def check(data):
+            params = self._malformed_request(data, command)
+            with pytest.raises(BadRequestError):
+                asyncio.run(
+                    SimulationService().submit({"kind": kind, "params": params})
+                )
+            assert _run_job(kind, args, **params) == (None, None)
+
+        check()
+
+
+def test_readme_cli_lines_parse():
+    """Every ``cimflow ...`` command in README's shell blocks parses."""
+    import pathlib
+    import re
+    import shlex
+
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```bash\n(.*?)```", readme.read_text(), re.S)
+    commands = []
+    for block in blocks:
+        pending = ""
+        for line in block.splitlines():
+            if not pending and not line.startswith("cimflow "):
+                continue
+            pending += line + "\n"
+            try:  # a quoted argument may continue on the next line
+                argv = shlex.split(pending, comments=True)
+            except ValueError:
+                continue
+            pending = ""
+            commands.append([a for a in argv[1:] if a != "&"])
+    assert len(commands) >= 20
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.core.cim_core import CIMCore, CIMCoreParams
 from repro.periphery.drivers import DriverConfig, RowDecoder, WordlineDriver
+from repro.utils import telemetry
 
 
 class TestRowDecoder:
@@ -59,10 +61,14 @@ class TestWordlineDriver:
         assert np.allclose(v, [0.2, 0.0, 0.2, 0.0])
 
     def test_energy_accounting(self):
-        drv = WordlineDriver(4)
-        drv.drive(np.array([True, True, False, False]), 0.2)
-        assert drv.energy_consumed == pytest.approx(
-            2 * drv.config.energy_per_activation
+        """A two-row scouting op drives two wordlines; the static model
+        books exactly their drive energy into the scope."""
+        core = CIMCore(CIMCoreParams(rows=8, logical_cols=8), rng=3)
+        with telemetry.scoped() as scope:
+            core.scouting_or([0, 1])
+        assert scope.counters["driver.activations"] == 2
+        assert scope.counters["cost.energy.driver"] == pytest.approx(
+            2 * core.driver.config.energy_per_activation, rel=1e-15, abs=0
         )
 
     def test_analog_drive(self):

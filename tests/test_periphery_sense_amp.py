@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.core.cim_core import CIMCore, CIMCoreParams
 from repro.periphery.sense_amp import SenseAmpConfig, SenseAmplifier
+from repro.utils import telemetry
 
 
 I_LRS = 1e-5
@@ -32,11 +34,22 @@ class TestCompare:
 
     def test_sense_count_and_energy(self):
         sa = SenseAmplifier(rng=0)
-        sa.compare(1e-5, 2e-5)
-        sa.compare(1e-5, 2e-5)
+        with telemetry.scoped() as scope:
+            sa.compare(1e-5, 2e-5)
+            sa.compare(1e-5, 2e-5)
         assert sa.sense_count == 2
-        assert sa.energy_consumed == pytest.approx(
-            2 * sa.config.energy_per_sense
+        assert scope.counters["sense_amp.compares"] == 2
+
+    def test_scouting_books_one_sense_per_column(self):
+        """A scouting op compares every physical column once; the static
+        model books exactly their sensing energy into the scope."""
+        core = CIMCore(CIMCoreParams(rows=8, logical_cols=8), rng=3)
+        with telemetry.scoped() as scope:
+            core.scouting_or([0, 1])
+        cols = core.array.cols
+        assert scope.counters["sense_amp.compares"] == cols
+        assert scope.counters["cost.energy.sense_amp"] == pytest.approx(
+            cols * core.sense_amp.config.energy_per_sense, rel=1e-15, abs=0
         )
 
 

@@ -29,22 +29,24 @@ class TestInterconnect:
         )
         assert entry["latency"] == lat
         assert entry["data_moved"] == 200
-        assert ic.transfers == 1
-        assert ic.bytes_moved == 200
+        assert scope.counters["pipeline.transfers"] == 1
+        assert scope.counters["pipeline.transfer.bytes"] == 200
 
     def test_multi_hop_scales(self):
-        one = Interconnect()
-        two = Interconnect()
-        assert two.transfer(64, hops=2) == pytest.approx(
-            2 * one.transfer(64, hops=1)
+        ic = Interconnect()
+        with telemetry.scoped() as one:
+            one_hop = ic.transfer(64, hops=1)
+        with telemetry.scoped() as two:
+            two_hops = ic.transfer(64, hops=2)
+        assert two_hops == pytest.approx(2 * one_hop)
+        assert two.counters["pipeline.transfer.bytes"] == (
+            2 * one.counters["pipeline.transfer.bytes"]
         )
-        assert two.bytes_moved == 2 * one.bytes_moved
 
     def test_zero_values_is_free(self):
         ic = Interconnect()
         with telemetry.scoped() as scope:
             assert ic.transfer(0) == 0.0
-        assert ic.transfers == 0
         assert scope.counters == {}
 
     def test_negative_rejected(self):

@@ -339,6 +339,32 @@ class TestParamTypes:
         assert run(main()).payload()["field"] == field
 
     @pytest.mark.parametrize(
+        "kind, params, field",
+        [
+            ("train", {"drift_nus": [float("nan")]}, "drift_nus"),
+            ("train", {"drift_nus": [0.0, float("inf")]}, "drift_nus"),
+            ("train", {"write_sigma": float("nan")}, "write_sigma"),
+            ("train", {"write_sigma": float("inf")}, "write_sigma"),
+            ("train", {"lives": [float("inf")]}, "lives"),
+            ("sweep", {"separation": float("-inf")}, "separation"),
+            ("ecc", {"yields": [float("nan")]}, "yields"),
+            ("faults", {"cell_yield": float("nan")}, "cell_yield"),
+            ("infer", {"x": [[0.5] * 16],
+                       "model": {"separation": float("nan")}}, "separation"),
+        ],
+    )
+    def test_non_finite_floats_name_the_field(self, kind, params, field):
+        """JSON admits NaN and Infinity; no float parameter accepts them
+        (a response carrying one would not be strict JSON)."""
+        async def main():
+            svc = make_service()
+            with pytest.raises(BadRequestError, match="must be finite") as info:
+                await svc.submit({"kind": kind, "params": params})
+            return info.value
+
+        assert run(main()).payload()["field"] == field
+
+    @pytest.mark.parametrize(
         "kind, params",
         [
             ("pipeline", {"tiles": 0}),
@@ -864,6 +890,47 @@ class TestEveryJobKind:
             assert clean["result"].pop("artifact_hits")["alloc"] is False
         assert same_bytes(reused["result"], clean["result"])
         assert same_bytes(reused["report"], clean["report"])
+
+
+#: One small request per computing kind: every job kind plus ``infer``
+#: and ``faults``.
+COMPUTING = {
+    **{kind: {**params, "workers": 0} for kind, params in SMALL.items()},
+    "infer": {"model": MODEL, "x": [list(inputs(1)[0])]},
+    "faults": {"model": MODEL, "cell_yield": 0.8, "seed": 3},
+}
+
+
+class TestLedgerClosure:
+    """A served report holds exactly what its job booked: per category,
+    its energy, latency and data moved equal the sums of the
+    ``EnergyModel._book`` calls made while the job ran."""
+
+    @pytest.mark.parametrize("kind", sorted(COMPUTING))
+    def test_report_equals_booked_charges(self, kind, booked):
+        async def main():
+            svc = make_service()
+            # Build the cached artifacts first (the deployed model, and the
+            # pipeline's allocation through a neighbouring request): their
+            # programming belongs to no one request.
+            svc.model_artifact(MODEL)
+            await svc.submit({"kind": "pipeline", "params": NEIGHBOUR["pipeline"]})
+            booked.clear()
+            return await svc.submit({"kind": kind, "params": COMPUTING[kind]})
+
+        report = RunReport.from_dict(run(main())["report"])
+        sums = {}
+        for category, *charge in booked:
+            entry = sums.setdefault(category, [0.0, 0.0, 0.0])
+            for i, value in enumerate(charge):
+                entry[i] += value
+        assert set(report.categories) == set(sums)
+        for category, expected in sums.items():
+            got = report.categories[category]
+            for field, value in zip(("energy", "latency", "data_moved"), expected):
+                assert got[field] == pytest.approx(value, rel=1e-15, abs=0), (
+                    category, field
+                )
 
 
 class TestAdmissionControl:
