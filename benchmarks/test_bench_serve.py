@@ -5,7 +5,7 @@ Three properties of ``repro.serve`` are load-bearing and gated here:
 * **Coalescing pays.** 16 concurrent single-sample inference requests
   through the request batcher must finish >= 2x faster than the same 16
   requests one-at-a-time — the per-call overhead (layer walk, tile loop,
-  LU back-substitution setup) amortizes across the stacked batch.
+  conductance fingerprint and read) amortizes across the stacked batch.
 * **The results cache pays.** Re-submitting an identical sweep request
   must return >= 20x faster than the cold run — it is a canonical-JSON
   lookup, not a recomputation.
@@ -26,13 +26,13 @@ from repro.serve import ServiceConfig, SimulationService
 
 from conftest import print_table, record_serve_metrics
 
-# IR-drop-aware deployment: wire_resistance > 0 routes tile VMMs through
-# the LU path, whose batched execution is row-independent (bit-identical
-# demux).  Small tiles maximize the tile *count*, and the fixed per-tile
-# per-call cost (sparse solve dispatch, conductance read, quantize/decode
-# setup) is exactly what coalescing amortizes — the back-substitution
-# itself is near-linear in RHS count, so a single huge tile would barely
-# benefit.
+# IR-drop-aware deployment: wire_resistance > 0 routes clean tile VMMs
+# through each tile's cached transfer matrix, whose batched read is
+# row-independent (bit-identical demux).  Small tiles maximize the tile
+# *count*, and the fixed per-tile per-call cost (fingerprint, conductance
+# read, quantize/decode setup) is exactly what coalescing amortizes — the
+# transfer-matrix product itself is near-linear in row count, so a single
+# huge tile would barely benefit.
 _MODEL = {
     "n_samples": 160,
     "n_features": 64,

@@ -9,10 +9,11 @@ re-submits each job and asserts the second response is
 a results-cache hit that is bit-identical to the cold one — the serving
 layer's core contract, exercised through the same process boundary users
 cross.  The served logits must equal the same model deployed in this
-process.  An input containing NaN, a ``train`` job with a NaN
-``drift_nus``, a sweep at yield 1.5 and an ``ecc`` job with
-``words_per_array: 0`` must each be a ``bad_request`` that leaves the
-server answering.  Every cold ``ecc`` row must carry a
+process.  A three-row IR-drop ``infer`` must give, row by row, the logits
+of each row sent alone.  An input containing NaN, a model with a negative
+``wire_resistance``, a ``train`` job with a NaN ``drift_nus``, a sweep at
+yield 1.5 and an ``ecc`` job with ``words_per_array: 0`` must each be a
+``bad_request`` that leaves the server answering.  Every cold ``ecc`` row must carry a
 coverage in [0, 1] and a non-negative ``word_failure_se``.  The
 ``train`` job covers the device write path (write-verify, endurance wear,
 programming energy).  Its cold run fans out over two sweep workers and its warm run asks for none, so the hit also proves the
@@ -33,7 +34,8 @@ sys.path.insert(0, "src")
 from repro.serve import ServeClient, SimulationService  # noqa: E402
 
 # Small enough to train in seconds on a CI runner, big enough to exercise
-# the tiled LU path (wire_resistance > 0) the batcher relies on.
+# the tiled IR-drop path (wire_resistance > 0), whose row-independent
+# transfer-matrix reads the batcher relies on.
 MODEL = {
     "n_samples": 120,
     "n_features": 16,
@@ -126,6 +128,26 @@ def main():
                 )
             print("serve_smoke: served logits equal the in-process forward")
 
+            n = MODEL["n_features"]
+            rows = [
+                [0.3] * n,
+                [k / n for k in range(n)],
+                [0.9 if k % 2 else 0.0 for k in range(n)],
+            ]
+            together = client.request("infer", {"model": MODEL, "x": rows})
+            if not together.get("ok"):
+                fail(f"three-row infer failed: {together.get('error')}")
+            for k, row in enumerate(rows):
+                alone = client.request("infer", {"model": MODEL, "x": [row]})
+                if not alone.get("ok"):
+                    fail(f"one-row infer failed: {alone.get('error')}")
+                if alone["result"]["logits"][0] != together["result"]["logits"][k]:
+                    fail(
+                        f"row {k} alone gave logits {alone['result']['logits'][0]}"
+                        f", inside a batch {together['result']['logits'][k]}"
+                    )
+            print("serve_smoke: batched IR-drop rows equal the rows alone")
+
             nan_x = [[math.nan] * MODEL["n_features"]]
             bad = client.request("infer", {"model": MODEL, "x": nan_x})
             code = (bad.get("error") or {}).get("code")
@@ -138,6 +160,19 @@ def main():
             if not again.get("ok") or again["cache"] != "miss":
                 fail(f"infer after a NaN request failed: {again.get('error')}")
             print("serve_smoke: NaN infer is a bad_request, server serves on")
+
+            bad = client.request(
+                "infer", {"model": {"wire_resistance": -1.0}, "x": x}
+            )
+            code = (bad.get("error") or {}).get("code")
+            if bad.get("ok") or code != "bad_request":
+                fail(f"negative wire_resistance must be a bad_request, got {bad}")
+            again = client.request(
+                "infer", {"model": MODEL, "x": [[0.4] * MODEL["n_features"]]}
+            )
+            if not again.get("ok"):
+                fail(f"infer after a bad model failed: {again.get('error')}")
+            print("serve_smoke: unbuildable model is a bad_request, server serves on")
 
             bad = client.request("sweep", {"yields": [1.5]})
             code = (bad.get("error") or {}).get("code")

@@ -137,7 +137,8 @@ class CIMCore:
         self.invalidate_solver_cache()
 
     def invalidate_solver_cache(self) -> None:
-        """Drop the IR-drop solver's cached LU factorizations.
+        """Drop the IR-drop solver's cached LU factorizations and their
+        transfer rows.
 
         Called automatically after reprogramming; fault injectors that
         mutate :attr:`array` directly should call it too.  (Correctness
@@ -165,10 +166,14 @@ class CIMCore:
 
         All inputs in the batch see the same conductance snapshot (one
         read-noise sample), modelling back-to-back evaluations within the
-        noise correlation time.  With ``wire_resistance > 0`` the whole
-        batch is back-substituted against a single cached LU factorization
-        (:meth:`~repro.crossbar.solver.NodalCrossbarSolver.solve_batch`),
-        so the per-input cost is a triangular solve, not a factorization.
+        noise correlation time.  With ``wire_resistance > 0`` a clean read
+        goes through the transfer matrix of the cached LU factorization
+        (:meth:`~repro.crossbar.solver.NodalCrossbarSolver.solve_batch` with
+        ``transfer=True``): once a wordline's transfer row is solved, the
+        per-input cost is a (rows x cols) product, and each input's
+        currents are bit-identical to reading it alone.  A noisy read
+        factorizes its fresh conductance snapshot and back-substitutes the
+        whole batch against it in one multi-RHS solve.
         """
         if not self._programmed:
             raise RuntimeError("program_weights must be called before vmm")
@@ -192,7 +197,12 @@ class CIMCore:
                 if noisy
                 else self.array.conductances()
             )
-            currents = self._ir_solver.solve_batch(g, voltages).column_currents
+            # A clean state is read again by every later flush, so it is
+            # read through its cached transfer matrix; a noisy snapshot is
+            # read once and back-substituted directly.
+            currents = self._ir_solver.solve_batch(
+                g, voltages, transfer=not noisy
+            ).column_currents
         else:
             currents = self.array.mvm_batch(voltages, noisy=noisy)
         # Digitize each physical column.

@@ -29,7 +29,23 @@ array against thousands of inputs, so :class:`NodalCrossbarSolver`
 * caches the sparse LU factorization (``scipy.sparse.linalg.splu``) keyed
   on a fingerprint of the conductance matrix, and
 * offers :meth:`NodalCrossbarSolver.solve_batch` — many input vectors
-  against one factorization via multi-RHS back-substitution.
+  against one factorization via multi-RHS back-substitution, or, with
+  ``transfer=True``, the read path of a cached state.  For a fixed
+  conductance state the read is a linear map from wordline voltages to
+  column currents, so each cached factorization carries a transfer matrix
+  ``T`` whose row ``i`` holds the column currents of a unit voltage on
+  wordline ``i`` alone.  A row is back-substituted the first time a batch
+  drives that wordline, one right-hand side per row (SuperLU's multi-RHS
+  solve does not give column-independent bits), and a read is then
+  ``einsum("bi,ij->bj", v, T)``.  A BLAS matmul gives a row other bits
+  inside a batch than alone; the unoptimized ``einsum`` has given every
+  row the same bits at every batch size tried with the NumPy this
+  package runs on.  NumPy does not document that, so the tests of the
+  transfer read pin it rather than assume it.
+
+SciPy is imported inside the functions that assemble or solve a sparse
+system, so importing this module (and :mod:`repro.crossbar`) stays cheap
+for processes that never solve a parasitic network.
 
 :meth:`NodalCrossbarSolver.solve_reference` keeps the original
 cell-by-cell loop assembly as a slow, independently-written reference the
@@ -44,8 +60,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix, lil_matrix
-from scipy.sparse.linalg import splu, spsolve
 
 from repro.utils import telemetry
 from repro.utils.validation import check_non_negative, check_positive
@@ -79,12 +93,13 @@ class SolverResult:
 @dataclass
 class BatchSolverResult:
     """Output of a batched nodal crossbar solve (one factorization, many
-    right-hand sides)."""
+    right-hand sides).  A transfer-matrix read computes no node voltages;
+    its node-voltage fields are ``None``."""
 
-    column_currents: np.ndarray      # (batch, cols)
-    row_node_voltages: np.ndarray    # (batch, rows, cols)
-    col_node_voltages: np.ndarray    # (batch, rows, cols)
-    driven_voltages: np.ndarray      # (batch, rows)
+    column_currents: np.ndarray                 # (batch, cols)
+    row_node_voltages: Optional[np.ndarray]     # (batch, rows, cols)
+    col_node_voltages: Optional[np.ndarray]     # (batch, rows, cols)
+    driven_voltages: np.ndarray                 # (batch, rows)
 
     def __len__(self) -> int:
         return self.column_currents.shape[0]
@@ -106,7 +121,8 @@ class _Factorization:
     the SuperLU object over the free (non-clamped) nodes, a sparse map
     from driven voltages to the reduced right-hand side, and the
     free/fixed index sets for scattering solutions back to full node
-    order.
+    order; plus the transfer matrix that clean reads go through, filled
+    one driven wordline at a time.
     """
 
     def __init__(
@@ -115,6 +131,9 @@ class _Factorization:
         wire_resistance: float,
         driver_resistance: float,
     ) -> None:
+        from scipy.sparse import coo_matrix, csr_matrix
+        from scipy.sparse.linalg import splu
+
         rows, cols = g.shape
         self.g = g
         self.rows = rows
@@ -189,19 +208,45 @@ class _Factorization:
         self.lu = (
             splu(a_rows[:, self.free].tocsc()) if self.free.size else None
         )
+        # Transfer matrix, filled row by row on first use; a row not yet
+        # solved stays zero, which is exact for a wordline driven at 0 V.
+        self.transfer = np.zeros((rows, cols))
+        self.solved = np.zeros(rows, dtype=bool)
 
-    def node_voltages(self, v: np.ndarray) -> np.ndarray:
-        """Full node-voltage matrix ``(batch, 2*rows*cols)`` for driven
-        voltages ``v`` of shape ``(batch, rows)``."""
+    def solve(
+        self, v: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Wordline and bitline node voltages, each ``(batch, rows, cols)``,
+        and column currents ``(batch, cols)`` for driven voltages ``v`` of
+        shape ``(batch, rows)``, in one multi-RHS back-substitution."""
         batch = v.shape[0]
-        full = np.zeros((2 * self.rows * self.cols, batch))
+        n = self.rows * self.cols
+        full = np.zeros((2 * n, batch))
         if self.lu is not None:
             b = self.b_map @ v.T
             x = self.lu.solve(np.ascontiguousarray(b))
             full[self.free] = x.reshape(self.free.size, batch)
         if self.driven is not None:
             full[self.driven] = v.T
-        return full.T
+        solution = full.T
+        row_v = solution[:, :n].reshape(batch, self.rows, self.cols)
+        col_v = solution[:, n:].reshape(batch, self.rows, self.cols)
+        # Column current = sum of currents flowing into each bitline.
+        column_currents = ((row_v - col_v) * self.g).sum(axis=1)
+        return row_v, col_v, column_currents
+
+    def solve_transfer_rows(self, v: np.ndarray) -> int:
+        """Solve the rows of :attr:`transfer` that ``v`` drives for the
+        first time; return how many were solved.
+
+        Each row is its own one-RHS solve, so its bits depend only on the
+        conductance state, never on which rows earlier reads drove.
+        """
+        new = np.nonzero(np.any(v != 0, axis=0) & ~self.solved)[0]
+        for i in new:
+            self.transfer[i] = self.solve(np.eye(1, self.rows, i))[2][0]
+        self.solved[new] = True
+        return int(new.size)
 
 
 class NodalCrossbarSolver:
@@ -216,9 +261,10 @@ class NodalCrossbarSolver:
     With ``wire_resistance == 0`` and ``driver_resistance == 0`` the result
     reduces exactly to the ideal ``I = V . G``.
 
-    Factorizations are cached across calls (see the module docstring);
-    ``factorizations``, ``cache_hits`` and ``cache_misses`` count the
-    solver's work for perf regression tests.
+    Factorizations, and the transfer rows that transfer reads
+    (``solve_batch(..., transfer=True)``) solve against them, are cached
+    across calls (see the module docstring); ``factorizations``, ``transfer_rows``, ``cache_hits`` and
+    ``cache_misses`` count the solver's work for perf regression tests.
     """
 
     def __init__(
@@ -236,6 +282,7 @@ class NodalCrossbarSolver:
         self.cache_size = cache_size
         self._cache: "OrderedDict[str, _Factorization]" = OrderedDict()
         self.factorizations = 0
+        self.transfer_rows = 0
         self.cache_hits = 0
         self.cache_misses = 0
         self.cache_evictions = 0
@@ -275,8 +322,9 @@ class NodalCrossbarSolver:
         return fact
 
     def invalidate_cache(self) -> None:
-        """Drop all cached factorizations (call after reprogramming or
-        fault injection changes the conductance state)."""
+        """Drop all cached factorizations and their transfer rows (call
+        after reprogramming or fault injection changes the conductance
+        state)."""
         self._cache.clear()
 
     @property
@@ -321,13 +369,27 @@ class NodalCrossbarSolver:
         return batch.result(0)
 
     def solve_batch(
-        self, conductances: np.ndarray, voltage_matrix: np.ndarray
+        self,
+        conductances: np.ndarray,
+        voltage_matrix: np.ndarray,
+        *,
+        transfer: bool = False,
     ) -> BatchSolverResult:
         """Solve many input vectors against one factorization.
 
         ``voltage_matrix`` has shape ``(batch, rows)``; the nodal matrix is
         assembled and LU-factorized once (or reused from the cache) and all
-        inputs are back-substituted together as a multi-RHS solve.
+        inputs are back-substituted together as a multi-RHS solve.  That
+        solve does not give each input the bits it would get alone.
+
+        With ``transfer=True`` the call is a read of a state that later
+        calls read again: wordlines this batch drives for the first time
+        get their transfer row solved (counted in ``transfer_rows``), the
+        currents are one ``einsum`` over the transfer matrix, and no node
+        voltages are computed.  Row ``k`` of such a read has the bits of
+        reading ``voltage_matrix[k]`` alone, on any solver, after any
+        history (see the module docstring for what pins this).  Ideal
+        wires have no factorization to amortize and ignore ``transfer``.
         """
         g, v = self._check_inputs(conductances, voltage_matrix)
         if v.ndim != 2:
@@ -347,15 +409,15 @@ class NodalCrossbarSolver:
             return BatchSolverResult(currents, row_v, col_v, v.copy())
 
         fact = self._factorize(g)
-        n = rows * cols
-        solution = fact.node_voltages(v)
-        row_v = solution[:, :n].reshape(batch, rows, cols)
-        col_v = solution[:, n:].reshape(batch, rows, cols)
-
-        # Column current = sum of currents flowing into each bitline.
-        cell_currents = (row_v - col_v) * g
-        column_currents = cell_currents.sum(axis=1)
-        return BatchSolverResult(column_currents, row_v, col_v, v.copy())
+        if not transfer:
+            row_v, col_v, column_currents = fact.solve(v)
+            return BatchSolverResult(column_currents, row_v, col_v, v.copy())
+        solved = fact.solve_transfer_rows(v)
+        if solved:
+            self.transfer_rows += solved
+            telemetry.current().incr("solver.transfer_rows", solved)
+        currents = np.einsum("bi,ij->bj", v, fact.transfer)
+        return BatchSolverResult(currents, None, None, v.copy())
 
     def solve_reference(
         self, conductances: np.ndarray, voltages: np.ndarray
@@ -367,6 +429,9 @@ class NodalCrossbarSolver:
         replacement), so this solves the same linear system as
         :meth:`solve` — just via an independent code path.
         """
+        from scipy.sparse import lil_matrix
+        from scipy.sparse.linalg import spsolve
+
         g, v = self._check_inputs(conductances, voltages)
         if v.ndim != 1:
             raise ValueError(
@@ -489,6 +554,9 @@ def sneak_path_read_current(
     Ideal wires are assumed (each line is a single node); wire parasitics
     are the business of :class:`NodalCrossbarSolver`.
     """
+    from scipy.sparse import lil_matrix
+    from scipy.sparse.linalg import spsolve
+
     g = np.asarray(conductances, dtype=float)
     if g.ndim != 2:
         raise ValueError(f"conductances must be 2-D, got shape {g.shape}")

@@ -3,10 +3,10 @@
 Single-sample inference requests are the worst case for the compute
 backend: every one pays the full per-call overhead of walking the
 deployed model's layers and tiles, and — on IR-drop-aware tiles — one
-sparse triangular solve per layer per tile.  The backend's
-``forward_batch`` / ``vmm_batch`` path amortizes all of that across a
-batch (one multi-RHS back-substitution per tile), so the serving layer's
-job is to *make* batches out of concurrent requests.
+conductance fingerprint and transfer-matrix product per layer per tile.
+The backend's ``forward_batch`` / ``vmm_batch`` path amortizes all of
+that across a batch, so the serving layer's job is to *make* batches out
+of concurrent requests.
 
 :class:`RequestBatcher` groups pending requests by a caller-supplied key
 (one key per deployed model artifact — inputs for different models can
@@ -19,10 +19,13 @@ never be stacked) and flushes a group when either
 
 Each request contributes a block of input rows; the flush stacks all
 blocks into one array, invokes the runner once, and demuxes the output
-rows back to each request's future.  Demuxed rows are bit-identical to
-running each request alone: every step of the batched forward path
-(clipping, LU back-substitution, ADC quantization, differential decode)
-operates on batch rows independently, a property the serve tests assert.
+rows back to each request's future.  On IR-drop-aware models, demuxed
+rows are bit-identical to running each request alone: every step of the
+batched clean forward path (clipping, the ``einsum`` read through each
+tile's one-RHS-solved transfer matrix, ADC quantization, differential
+decode) operates on batch rows independently, a property the serve tests
+assert.  Ideal-wire tiles read through a BLAS matmul, which does not
+give a row the same bits alone as inside a batch.
 
 ``max_batch=1`` (or ``window_s=0`` with immediate flush) degrades to
 one-request-at-a-time execution — the sequential baseline the

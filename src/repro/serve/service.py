@@ -719,14 +719,23 @@ class SimulationService:
 
     def model_artifact(self, model_params: Dict[str, Any]) -> Tuple[_DeployedModel, bool]:
         """The deployed-model artifact for ``model_params`` (normalized),
-        deploying on first use.  Returns ``(artifact, cache_hit)``."""
+        deploying on first use.  Returns ``(artifact, cache_hit)``.
+
+        A model the library refuses to build (a negative wire resistance,
+        an empty layer, too few samples) is a bad request naming the
+        model, not an internal error."""
         cfg = _normalize(model_params, MODEL_DEFAULTS, "model")
         fp = config_fingerprint(cfg, prefix="model")
-        return self.artifacts.get_or_create(
-            ("model", fp),
-            lambda: self._build_model(cfg, fp),
-            tags=(fp,),
-        )
+
+        def build() -> _DeployedModel:
+            try:
+                return self._build_model(cfg, fp)
+            except ValueError as exc:
+                raise BadRequestError(
+                    f"bad model parameters: {exc}", field="model"
+                ) from None
+
+        return self.artifacts.get_or_create(("model", fp), build, tags=(fp,))
 
     def invalidate_model(self, model_params: Dict[str, Any]) -> Dict[str, int]:
         """Drop a model's artifact and every cached result derived from

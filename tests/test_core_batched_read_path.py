@@ -42,7 +42,11 @@ def per_row_vmm_batch(core: CIMCore, x: np.ndarray, noisy: bool) -> np.ndarray:
     )
     if core._ir_solver is not None:
         g = core.array.read_conductances() if noisy else core.array.conductances()
-        currents = core._ir_solver.solve_batch(g, voltages).column_currents
+        # The core's own solver call: this oracle pins encode, drive and
+        # power batching, not the solver.
+        currents = core._ir_solver.solve_batch(
+            g, voltages, transfer=not noisy
+        ).column_currents
     else:
         currents = core.array.mvm_batch(voltages, noisy=noisy)
     volts = currents * p.transimpedance

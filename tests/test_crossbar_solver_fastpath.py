@@ -1,7 +1,8 @@
 """Tests for the nodal-solver fast path: vectorized assembly, exact
-Dirichlet elimination, LU caching and multi-RHS batching — plus the
-regression tests for the bugfixes that rode along (driver-aware
-``worst_case_drop``, RMS-normalized ``relative_error``)."""
+Dirichlet elimination, LU caching, multi-RHS batching and the
+transfer-matrix read — plus the regression tests for the bugfixes that
+rode along (driver-aware ``worst_case_drop``, RMS-normalized
+``relative_error``)."""
 
 import numpy as np
 import pytest
@@ -132,6 +133,174 @@ class TestBatchSolve:
         solver = NodalCrossbarSolver(wire_resistance=0.0, driver_resistance=0.0)
         batch = solver.solve_batch(g, v_matrix)
         assert np.allclose(batch.column_currents, v_matrix @ g)
+
+
+def _read(solver, g, v):
+    """Currents of a transfer-matrix read."""
+    return solver.solve_batch(g, v, transfer=True).column_currents
+
+
+def _driven_block(rng, batch, rows):
+    """Random wordline voltages with every third wordline idle."""
+    v = rng.uniform(0.0, 0.2, (batch, rows))
+    v[:, ::3] = 0.0
+    return v
+
+
+class TestTransferMatrixRead:
+    """``solve_batch(..., transfer=True)`` reads through the cached
+    transfer matrix: each
+    batch row's currents are the bits that row gets alone, on any solver,
+    after any history."""
+
+    @pytest.mark.parametrize("rows,cols", [(1, 4), (7, 5), (16, 32), (33, 17)])
+    @pytest.mark.parametrize("driver_resistance", [0.0, 500.0])
+    def test_rows_are_bit_identical_to_one_row_reads(
+        self, rows, cols, driver_resistance
+    ):
+        rng = np.random.default_rng(rows * 100 + cols)
+        g = rng.uniform(1e-6, 1e-4, (rows, cols))
+        # One long-lived solver reads batches 1..37, so later batches
+        # reuse transfer rows that earlier batches solved.
+        shared = NodalCrossbarSolver(
+            wire_resistance=1.0, driver_resistance=driver_resistance
+        )
+        for batch in range(1, 38):
+            v = _driven_block(rng, batch, rows)
+            out = _read(shared, g, v)
+            assert out.shape == (batch, cols)
+            for k in sorted({0, batch // 2, batch - 1}):
+                fresh = NodalCrossbarSolver(
+                    wire_resistance=1.0, driver_resistance=driver_resistance
+                )
+                alone = _read(fresh, g, v[k : k + 1])[0]
+                assert np.array_equal(out[k], alone), (batch, k)
+
+    def test_served_tile_shape_rows_are_bit_identical(self):
+        """The 64x64 physical tile a served model reads, at the batch
+        sizes where the multi-RHS LU solve gave rows other bits."""
+        rng = np.random.default_rng(64)
+        g = rng.uniform(1e-6, 1e-4, (64, 64))
+        v = _driven_block(rng, 37, 64)
+        reference = NodalCrossbarSolver(wire_resistance=1.0)
+        alone = np.stack(
+            [_read(reference, g, v[k : k + 1])[0] for k in range(37)]
+        )
+        for batch in (1, 2, 5, 16, 37):
+            out = _read(NodalCrossbarSolver(wire_resistance=1.0), g, v[:batch])
+            assert np.array_equal(out, alone[:batch]), batch
+
+    @pytest.mark.parametrize("rows,cols", [(12, 9), (24, 16)])
+    @pytest.mark.parametrize("driver_resistance", [0.0, 500.0])
+    def test_transfer_matrix_does_not_depend_on_drive_order(
+        self, rows, cols, driver_resistance
+    ):
+        rng = np.random.default_rng(3)
+        g = rng.uniform(1e-6, 1e-4, (rows, cols))
+        identity = np.eye(rows)
+
+        def transfer_after(groups):
+            solver = NodalCrossbarSolver(
+                wire_resistance=2.0, driver_resistance=driver_resistance
+            )
+            for group in groups:
+                v = np.zeros((2, rows))
+                v[0, group] = 0.1
+                _read(solver, g, v)
+            assert solver.transfer_rows == rows
+            # Reading the identity returns T itself: every other term of
+            # each row's sum is an exact zero.
+            return _read(solver, g, identity)
+
+        expected = transfer_after([[i] for i in reversed(range(rows))])
+        # All rows first driven by one batch: a multi-RHS solve of the
+        # unit vectors gives one 24x16 row different bits.
+        assert np.array_equal(transfer_after([list(range(rows))]), expected)
+        for order_seed in range(3):
+            order = np.random.default_rng(order_seed).permutation(rows)
+            groups = np.array_split(order, 4)
+            assert np.array_equal(transfer_after(groups), expected)
+
+    @pytest.mark.parametrize("rows,cols", [(1, 7), (7, 1), (6, 5), (16, 16)])
+    @pytest.mark.parametrize("driver_resistance", [0.0, 1e3])
+    def test_matches_loop_reference(self, rows, cols, driver_resistance):
+        rng = np.random.default_rng(rows * 10 + cols)
+        g = rng.uniform(1e-6, 1e-4, (rows, cols))
+        v = rng.uniform(0.0, 0.2, (4, rows))
+        solver = NodalCrossbarSolver(
+            wire_resistance=2.0, driver_resistance=driver_resistance
+        )
+        result = solver.solve_batch(g, v, transfer=True)
+        assert result.row_node_voltages is None
+        assert result.col_node_voltages is None
+        out = result.column_currents
+        for k in range(4):
+            ref = solver.solve_reference(g, v[k]).column_currents
+            scale = max(np.abs(ref).max(), 1e-30)
+            assert np.max(np.abs(out[k] - ref)) < 1e-10 * scale
+
+    def test_one_factorization_and_one_solve_per_driven_row(self):
+        from repro.utils import telemetry
+
+        rng = np.random.default_rng(5)
+        g = rng.uniform(1e-6, 1e-4, (10, 6))
+        solver = NodalCrossbarSolver(wire_resistance=1.0)
+        first = np.zeros((3, 10))
+        first[:, [1, 4]] = 0.1
+        first[2, 7] = 0.2
+        second = np.zeros((2, 10))
+        second[:, [4, 7, 9]] = 0.15
+        with telemetry.scoped() as scope:
+            # A multi-RHS solve factorizes but solves no transfer row.
+            solver.solve_batch(g, first)
+            assert solver.transfer_rows == 0
+            idle = _read(solver, g, np.zeros((2, 10)))
+            assert np.array_equal(idle, np.zeros((2, 6)))
+            assert solver.transfer_rows == 0
+            _read(solver, g, first)        # solves 1, 4, 7
+            _read(solver, g, second)       # solves 9 only
+            _read(solver, g, first)        # solves nothing
+        assert solver.factorizations == 1
+        assert solver.transfer_rows == 4
+        assert scope.count("solver.transfer_rows") == 4.0
+        assert scope.count("solver.factorizations") == 1.0
+
+        # A new conductance state is a new factorization with its own rows.
+        g2 = g.copy()
+        g2[0, 0] *= 2
+        _read(solver, g2, second)
+        assert solver.factorizations == 2
+        assert solver.transfer_rows == 7
+
+        # The rows live inside the cached factorization: invalidation
+        # drops them with it.
+        solver.invalidate_cache()
+        _read(solver, g, second)
+        assert solver.factorizations == 3
+        assert solver.transfer_rows == 10
+
+    def test_shape_validation(self):
+        solver = NodalCrossbarSolver(wire_resistance=1.0)
+        with pytest.raises(ValueError, match="shape"):
+            _read(solver, np.full((4, 4), 1e-5), np.zeros(4))
+        with pytest.raises(ValueError, match="shape"):
+            _read(solver, np.full((4, 4), 1e-5), np.zeros((2, 3)))
+
+    def test_core_clean_reads_are_bit_identical_to_solo_reads(self):
+        """``CIMCore.vmm_batch`` reads clean IR-drop tiles through the
+        transfer matrix, so a batch row decodes to the bits of the same
+        input read alone."""
+        core = CIMCore(
+            CIMCoreParams(rows=64, logical_cols=32, wire_resistance=1.0), rng=0
+        )
+        rng = np.random.default_rng(8)
+        core.program_weights(rng.uniform(-1, 1, (64, 32)))
+        x = _driven_block(rng, 16, 64) * 5
+        batched = core.vmm_batch(x, noisy=False)
+        for k in range(16):
+            assert np.array_equal(batched[k], core.vmm(x[k], noisy=False))
+        assert core._ir_solver.factorizations == 1
+        assert core._ir_solver.transfer_rows == np.count_nonzero(x.any(axis=0))
 
 
 class TestFactorizationCache:

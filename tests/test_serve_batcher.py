@@ -102,11 +102,15 @@ class TestDemuxFidelity:
         """Outputs demuxed from a coalesced flush must equal running each
         request alone — bit-for-bit, not approximately.
 
-        This holds whenever the runner treats batch rows independently,
-        which the deployed IR-drop inference path does (per-column LU
-        back-substitution, elementwise quantization/decode); a whole-batch
-        BLAS matmul would *not* qualify, which is why served models run
-        with ``wire_resistance > 0`` (pinned in the service tests).
+        This holds whenever the runner treats batch rows independently.
+        The deployed IR-drop inference path does: clean reads go through
+        each tile's transfer matrix with ``einsum``, whose rows are
+        solved one right-hand side at a time, and quantization/decode are
+        elementwise.  A multi-RHS LU back-substitution or a whole-batch
+        BLAS matmul would *not* qualify: neither gives a row alone the
+        bits it gets inside a batch.  That is why served models in these
+        tests run with ``wire_resistance > 0`` (pinned in the service
+        tests).
         """
         rng = np.random.default_rng(5)
         scale = rng.normal(size=(1, 4))

@@ -134,6 +134,35 @@ class TestProtocolErrors:
         assert rejection["error"]["limit"] == 1
         assert rejection["id"] == 2  # the rejected request, out of order
 
+    def test_unbuildable_model_is_bad_request_and_server_serves_on(self):
+        bad_models = [
+            ("infer", {"wire_resistance": -1.0}),
+            ("infer", {"hidden": [0]}),
+            ("infer", {"n_samples": 0}),
+            ("infer", {"adc_bits": 0}),
+            ("faults", {"epochs": -1}),
+        ]
+
+        def work(host, port):
+            with ServeClient(host=host, port=port) as client:
+                errors = []
+                for kind, model in bad_models:
+                    params = {"model": model}
+                    if kind == "infer":
+                        params["x"] = [[0.25] * 16]
+                    errors.append(client.request(kind, params))
+                after = client.request(
+                    "infer", {"model": MODEL, "x": [[0.25] * 16]}
+                )
+                return errors, after
+
+        errors, after = with_server(work)
+        for response in errors:
+            assert response["ok"] is False
+            assert response["error"]["code"] == "bad_request"
+            assert "bad model" in response["error"]["message"]
+        assert after["ok"] is True
+
     def test_blank_lines_are_ignored(self):
         def work(host, port):
             with socket.create_connection((host, port), timeout=30) as sock:

@@ -17,8 +17,10 @@ from repro.serve.service import JOB_KINDS
 from repro.utils.telemetry import RunReport
 
 # Small-but-real deployment: wire_resistance > 0 puts every tile on the
-# circuit-accurate LU path, whose batched execution is row-independent —
-# the property that makes coalesced inference bit-identical.
+# circuit-accurate IR-drop path.  Its clean reads go through each tile's
+# transfer matrix (one-RHS solved rows, an einsum product), so batched
+# execution is row-independent — the property that makes coalesced
+# inference bit-identical.
 MODEL = {
     "n_samples": 120,
     "n_features": 16,
@@ -403,6 +405,37 @@ class TestParamTypes:
         assert [row["codeword_bits"] for row in rows] == [1036, 1036]
         for row in rows:
             assert 0.0 < row["analytic_word_failure"] < 1.0
+
+    @pytest.mark.parametrize(
+        "kind, model",
+        [
+            ("infer", {"wire_resistance": -1.0}),
+            ("infer", {"hidden": [0]}),
+            ("infer", {"n_samples": 0}),
+            ("infer", {"adc_bits": 0}),
+            ("faults", {"epochs": -1}),
+        ],
+    )
+    def test_unbuildable_models_are_bad_requests(self, kind, model):
+        """A model the library refuses to build used to escape ``submit``
+        as a bare ``ValueError`` (an ``internal`` error on the wire)."""
+        params = {"model": model}
+        if kind == "infer":
+            params["x"] = [[0.5] * 16]
+
+        async def main():
+            svc = make_service()
+            with pytest.raises(BadRequestError, match="bad model") as info:
+                await svc.submit({"kind": kind, "params": params})
+            # Nothing half-built is cached, and the service still serves.
+            assert svc.artifacts.stats()["size"] == 0
+            ok = await svc.submit(infer_request(inputs(1)[0]))
+            return info.value.payload(), ok
+
+        payload, ok = run(main())
+        assert payload["code"] == "bad_request"
+        assert payload["field"] == "model"
+        assert ok["ok"] is True
 
     def test_int_accepted_where_default_is_float(self):
         from repro.serve.service import SWEEP_DEFAULTS, _normalize
