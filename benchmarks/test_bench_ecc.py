@@ -29,10 +29,13 @@ CODEC_SPEEDUP_GATE = 3.0
 #: encode -> flip -> decode block means that shortcut silently stopped
 #: paying.
 MC_BLOCK_SPEEDUP_GATE = 1.5
-#: Record name -> BER: an advisor-range BER, and the advisor's densest
-#: default one (cell yield 0.97), where about one BCH(32) word in seven
-#: is a candidate and decoding dominates.
-MC_BERS = {"mc_block": 1e-3, "mc_block_dense": 0.03}
+#: Record name -> BER: the advisor's BER at cell yield 0.99, where about
+#: one BCH(32) word in a hundred is a candidate, and its densest default
+#: one (cell yield 0.97), where about one in seven is and decoding
+#: dominates.  Both blocks must draw candidates: a block with none times
+#: only the binomial draw (at BER 1e-3, P[K > 2] is about 1.3e-5 per
+#: word, so 4096 words draw none and the "speed-up" was 3118x).
+MC_BERS = {"mc_block": 0.01, "mc_block_dense": 0.03}
 MC_REPEATS = 15
 
 WORDS = 4096
@@ -43,6 +46,24 @@ def _timed(fn, *args, **kwargs):
     start = time.perf_counter()
     result = fn(*args, **kwargs)
     return result, time.perf_counter() - start
+
+
+def _mc_block_candidates(ber):
+    """How many words the seed-0 ``_mc_block`` draws as candidates: the
+    rows of its one ``decode_block`` call, counted by a spy."""
+    from repro.testing.ecc import _mc_block, make_code
+
+    code = make_code("bch", DATA_BITS)
+    decode_block = code.decode_block
+    rows = []
+
+    def spy(patterns):
+        rows.append(patterns.shape[0])
+        return decode_block(patterns)
+
+    code.decode_block = spy
+    _mc_block(WORDS, np.random.default_rng(0), code, ber)
+    return sum(rows)
 
 
 def _mc_block_full_codec(count, rng, code, ber):
@@ -81,6 +102,9 @@ def test_mc_block_beats_full_codec(run_once, record):
         return best_of(_mc_block), best_of(_mc_block_full_codec)
 
     (flags, t_fast), (ref_flags, t_full) = run_once(experiment)
+    # Every timed call used seed 0, so they all drew these candidates.
+    candidates = _mc_block_candidates(ber)
+    assert candidates >= 1, f"the timed block at BER {ber} decodes nothing"
     failed, ref_failed = int(flags.sum()), int(ref_flags.sum())
     pooled = (failed + ref_failed) / (2 * WORDS)
     se = np.sqrt(pooled * (1.0 - pooled) * 2.0 / WORDS)
@@ -96,7 +120,10 @@ def test_mc_block_beats_full_codec(run_once, record):
              "failed_words": failed},
         ],
     )
-    print(f"mc_block speedup: {speedup:.2f}x (gate {MC_BLOCK_SPEEDUP_GATE}x)")
+    print(
+        f"mc_block speedup: {speedup:.2f}x (gate {MC_BLOCK_SPEEDUP_GATE}x), "
+        f"{candidates} candidate words"
+    )
     record_ecc_metrics(
         record,
         {
@@ -104,6 +131,7 @@ def test_mc_block_beats_full_codec(run_once, record):
             "words": WORDS,
             "data_bits": DATA_BITS,
             "ber": ber,
+            "candidates": candidates,
             "failed_words": failed,
             "full_codec_failed_words": ref_failed,
             "full_codec_seconds": t_full,

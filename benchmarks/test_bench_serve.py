@@ -52,15 +52,13 @@ def _infer_request(x_row):
 
 
 def _coalesced_service():
-    # max_batch == the concurrent request count: the 16th arrival flushes
-    # inline, so the window never adds latency to the measurement.
-    return SimulationService(
-        ServiceConfig(batch_window_s=1.0, max_batch=_N_CONCURRENT)
-    )
+    # max_batch == the concurrent request count: the last arrival of the
+    # gather burst flushes all of them inline.
+    return SimulationService(ServiceConfig(max_batch=_N_CONCURRENT))
 
 
 def _sequential_service():
-    return SimulationService(ServiceConfig(batch_window_s=0.0, max_batch=1))
+    return SimulationService(ServiceConfig(max_batch=1))
 
 
 async def _measure(rounds=3):

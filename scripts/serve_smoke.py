@@ -10,7 +10,11 @@ a results-cache hit that is bit-identical to the cold one — the serving
 layer's core contract, exercised through the same process boundary users
 cross.  The served logits must equal the same model deployed in this
 process.  A three-row IR-drop ``infer`` must give, row by row, the logits
-of each row sent alone.  An input containing NaN, a model with a negative
+of each row sent alone.  A burst of 8 one-row ``infer`` lines in one
+socket write, 4 on the ideal-wire default model and 4 on the IR-drop
+model, must coalesce (the ``stats`` batcher delta shows fewer flushes
+than requests) and give each row the logits it gets read alone.  An
+input containing NaN, a model with a negative
 ``wire_resistance``, a ``train`` job with a NaN ``drift_nus``, a sweep at
 yield 1.5 and an ``ecc`` job with ``words_per_array: 0`` must each be a
 ``bad_request`` that leaves the server answering.  Every cold ``ecc`` row must carry a
@@ -26,6 +30,7 @@ import json
 import math
 import os
 import re
+import socket
 import subprocess
 import sys
 
@@ -44,6 +49,8 @@ MODEL = {
     "epochs": 4,
     "wire_resistance": 1.0,
 }
+# The service-default model: ideal wires, read through a BLAS matmul.
+MODEL_A = {}
 SWEEP = {"yields": [1.0, 0.8], "trials": 1, "epochs": 4, "n_samples": 120}
 # One grid point, one epoch: the whole write path in well under a second.
 TRAIN = {"lives": [8.0], "drift_nus": [0.01], "epochs": 1}
@@ -90,6 +97,67 @@ def cold_then_warm(client, kind, params, **cold_only):
             fail(f"warm {kind} {field} differs from cold response")
     print(f"serve_smoke: warm {kind} is a bit-identical cache hit")
     return cold
+
+
+def send_burst(host, port, requests):
+    """Send ``requests`` as JSON lines in ONE socket write, so they reach
+    the server in one event-loop turn; return the responses in request
+    order."""
+    payload = b"".join(
+        (json.dumps({"id": k, **r}) + "\n").encode()
+        for k, r in enumerate(requests)
+    )
+    with socket.create_connection((host, port), timeout=600) as sock:
+        sock.sendall(payload)
+        fh = sock.makefile("rb")
+        responses = [json.loads(fh.readline()) for _ in requests]
+    return sorted(responses, key=lambda r: r["id"])
+
+
+def burst_equals_solo(client, host, port):
+    """Natural batching over a real socket: 8 one-row infers, 4 on model A
+    (the service default, ideal wires) and 4 on the IR-drop MODEL, sent
+    in one write, must coalesce (fewer flushes than requests) and answer
+    each row with the logits of that row read alone."""
+    n = MODEL["n_features"]
+    models = [MODEL_A, MODEL] * 4
+    # Fresh inputs, so no request is a results-cache hit.
+    rows = [[0.05 * (k + 1) + 0.01 * j for j in range(n)] for k in range(8)]
+    before = client.request("stats")["result"]["batcher"]
+    responses = send_burst(
+        host,
+        port,
+        [
+            {"kind": "infer", "params": {"model": model, "x": [row]}}
+            for model, row in zip(models, rows)
+        ],
+    )
+    after = client.request("stats")["result"]["batcher"]
+    # The solo reads run on the same deployments in this process (the
+    # served and in-process logits of one row were checked equal above);
+    # sent again over the socket they would be results-cache hits.
+    local = SimulationService()
+    for k, (model, row, resp) in enumerate(zip(models, rows, responses)):
+        if not resp.get("ok") or resp["cache"] != "miss":
+            fail(f"burst infer {k} failed or was not computed: {resp}")
+        deployed = local.model_artifact(model)[0].deployed
+        alone = deployed.forward_batch([row], noisy=False).tolist()
+        if resp["result"]["logits"] != alone:
+            fail(
+                f"burst row {k} gave logits {resp['result']['logits']}, "
+                f"alone {alone}"
+            )
+    requests = after["requests"] - before["requests"]
+    flushes = after["flushes"] - before["flushes"]
+    if requests != len(rows) or not flushes < requests:
+        fail(
+            f"a one-write burst of {len(rows)} infers must coalesce: "
+            f"{requests} requests in {flushes} flushes"
+        )
+    print(
+        f"serve_smoke: one-write burst of {requests} infers ran in {flushes} "
+        "flushes, every row equal to the row alone"
+    )
 
 
 def main():
@@ -147,6 +215,8 @@ def main():
                         f", inside a batch {together['result']['logits'][k]}"
                     )
             print("serve_smoke: batched IR-drop rows equal the rows alone")
+
+            burst_equals_solo(client, host, port)
 
             nan_x = [[math.nan] * MODEL["n_features"]]
             bad = client.request("infer", {"model": MODEL, "x": nan_x})

@@ -561,7 +561,6 @@ def cmd_serve(args) -> int:
         port=args.port,
         config=ServiceConfig(
             max_inflight=args.max_inflight,
-            batch_window_s=args.window,
             max_batch=args.max_batch,
         ),
         ready_callback=lambda host, port: print(
@@ -779,21 +778,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     serve = sub.add_parser(
-        "serve", help="run the simulation job server (JSON-lines over TCP)"
+        "serve",
+        help="run the simulation job server (JSON-lines over TCP)",
+        description="Run the simulation job server (JSON-lines over TCP). "
+        "Infer requests on the same model that reach the server in one "
+        "event-loop turn coalesce into one batched crossbar call, flushed "
+        "at the next turn; no request waits on a timer.",
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8473)
     serve.add_argument(
-        "--window",
-        type=float,
-        default=0.005,
-        help="inference coalescing window in seconds (default 0.005)",
-    )
-    serve.add_argument(
         "--max-batch",
         type=int,
         default=16,
-        help="flush a coalesced batch at this many requests (default 16)",
+        help="flush a coalesced batch inline at this many requests; "
+        "1 serves infers one at a time (default 16)",
     )
     serve.add_argument(
         "--max-inflight",

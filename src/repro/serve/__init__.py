@@ -4,8 +4,9 @@ The serving layer turns the one-shot simulation library into a
 long-lived service that amortizes work across requests:
 
 * :mod:`~repro.serve.batcher` coalesces concurrent small inference
-  requests into single ``forward_batch`` calls (time-window + max-batch)
-  and demuxes per-request outputs bit-identically.
+  requests into single ``forward_batch`` calls (flushed at the next
+  event-loop turn, or inline at ``max_batch``) and demuxes per-request
+  outputs.
 * :mod:`~repro.serve.cache` holds cross-request artifacts (deployed
   models with their tiles' LU caches, traced layer graphs, tile
   allocations) and whole results (canonical-JSON responses keyed on task

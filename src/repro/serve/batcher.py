@@ -14,8 +14,15 @@ never be stacked) and flushes a group when either
 
 * the group reaches ``max_batch`` requests (flushed inline by the
   arriving request), or
-* ``window_s`` seconds pass since the group's first request (flushed by
-  a scheduled timer task).
+* the event loop turns over: the group's first request schedules its
+  flush with ``loop.call_soon``, so it runs after every callback already
+  queued for this turn.
+
+This is natural batching: nothing waits on a timer, and a batch holds
+whatever entered the loop together — a ``gather`` burst, several lines
+read from one socket buffer, or the requests that arrived while a flush
+or a job blocked the loop.  Batches grow with load, and a lone request
+is computed one loop turn after it arrives.
 
 Each request contributes a block of input rows; the flush stacks all
 blocks into one array, invokes the runner once, and demuxes the output
@@ -25,11 +32,12 @@ batched clean forward path (clipping, the ``einsum`` read through each
 tile's one-RHS-solved transfer matrix, ADC quantization, differential
 decode) operates on batch rows independently, a property the serve tests
 assert.  Ideal-wire tiles read through a BLAS matmul, which does not
-give a row the same bits alone as inside a batch.
+give a row the same bits alone as inside a batch; their served logits
+agree only because the ADC absorbs the last-bit difference.
 
-``max_batch=1`` (or ``window_s=0`` with immediate flush) degrades to
-one-request-at-a-time execution — the sequential baseline the
-``BENCH_serve.json`` coalescing gate compares against.
+``max_batch=1`` degrades to one-request-at-a-time execution — the
+sequential baseline the ``BENCH_serve.json`` coalescing gate compares
+against.
 """
 
 from __future__ import annotations
@@ -60,11 +68,7 @@ class _Group:
 
     runner: Callable[[np.ndarray], np.ndarray]
     pending: List[_Pending] = field(default_factory=list)
-    timer: Optional["asyncio.Task"] = None
-
-    @property
-    def n_rows(self) -> int:
-        return sum(p.x.shape[0] for p in self.pending)
+    flush: Optional[asyncio.Handle] = None   # the next-turn flush
 
 
 @dataclass
@@ -86,14 +90,11 @@ class BatcherStats:
 
 
 class RequestBatcher:
-    """Time-window + max-batch coalescing of inference requests."""
+    """Next-turn + max-batch coalescing of inference requests."""
 
-    def __init__(self, window_s: float = 0.002, max_batch: int = 32) -> None:
-        if window_s < 0:
-            raise ValueError(f"window_s must be >= 0, got {window_s}")
+    def __init__(self, max_batch: int = 32) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        self.window_s = window_s
         self.max_batch = max_batch
         self.stats = BatcherStats()
         self._groups: Dict[Any, _Group] = {}
@@ -134,19 +135,9 @@ class RequestBatcher:
 
         if len(group.pending) >= self.max_batch:
             self._flush(key)
-        elif group.timer is None:
-            if self.window_s == 0:
-                self._flush(key)
-            else:
-                group.timer = loop.create_task(self._flush_later(key))
+        elif group.flush is None:
+            group.flush = loop.call_soon(self._flush, key)
         return await pending.future
-
-    async def _flush_later(self, key: Any) -> None:
-        await asyncio.sleep(self.window_s)
-        group = self._groups.get(key)
-        if group is not None:
-            group.timer = None
-            self._flush(key)
 
     def _flush(self, key: Any) -> None:
         """Run every pending request under ``key`` as one stacked batch
@@ -154,9 +145,8 @@ class RequestBatcher:
         group = self._groups.pop(key, None)
         if group is None or not group.pending:
             return
-        if group.timer is not None:
-            group.timer.cancel()
-            group.timer = None
+        if group.flush is not None:
+            group.flush.cancel()
         batch = group.pending
         self.stats.flushes += 1
         telemetry.current().incr("serve.batch.flushes")
@@ -165,7 +155,7 @@ class RequestBatcher:
             telemetry.current().incr("serve.batch.coalesced_flushes")
         try:
             # Inside the try: blocks of mismatched widths must fail every
-            # waiter, not escape from a timer task and strand them.
+            # waiter, not escape from a loop callback and strand them.
             stacked = (
                 batch[0].x
                 if len(batch) == 1

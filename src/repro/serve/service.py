@@ -96,7 +96,6 @@ class ServiceConfig:
     """Serving-layer knobs."""
 
     max_inflight: int = 64          # admission-control bound
-    batch_window_s: float = 0.005   # coalescing window for inference
     max_batch: int = 16             # flush immediately at this many requests
     artifact_capacity: int = 32     # deployed models / graphs / allocations
     results_capacity: int = 256     # whole-response cache entries
@@ -570,10 +569,7 @@ class SimulationService:
             capacity=self.config.artifact_capacity, name="artifact_cache"
         )
         self.results = ResultsCache(capacity=self.config.results_capacity)
-        self.batcher = RequestBatcher(
-            window_s=self.config.batch_window_s,
-            max_batch=self.config.max_batch,
-        )
+        self.batcher = RequestBatcher(max_batch=self.config.max_batch)
         self.lifetime_report = RunReport(label="server_lifetime")
         self.requests_total = 0
         self.requests_completed = 0

@@ -86,8 +86,6 @@ class TestParser:
                 "serve",
                 "--port",
                 "0",
-                "--window",
-                "0.01",
                 "--max-batch",
                 "8",
                 "--max-inflight",
@@ -95,7 +93,6 @@ class TestParser:
             ]
         )
         assert args.port == 0
-        assert args.window == 0.01
         assert args.max_batch == 8
         assert args.max_inflight == 4
 

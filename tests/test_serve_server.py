@@ -3,6 +3,7 @@
 import asyncio
 import json
 import socket
+import threading
 
 import numpy as np
 
@@ -18,9 +19,13 @@ MODEL = {
 }
 
 
-def with_server(client_fn, config=None):
+def with_server(client_fn, config=None, hold=None):
     """Start a server on an ephemeral port, run ``client_fn(host, port)``
-    in a worker thread, and return its result."""
+    in a worker thread, and return its result.
+
+    With ``hold`` (a :class:`threading.Event`), the server's loop blocks
+    until the client sets it, so whatever the client sent before then
+    reaches the server in one loop turn."""
 
     async def main():
         server = SimulationServer(
@@ -28,7 +33,12 @@ def with_server(client_fn, config=None):
         )
         host, port = await server.start()
         try:
-            return await asyncio.to_thread(client_fn, host, port)
+            client = asyncio.get_running_loop().run_in_executor(
+                None, client_fn, host, port
+            )
+            if hold is not None:
+                assert hold.wait(timeout=30)
+            return await client
         finally:
             await server.stop()
 
@@ -99,15 +109,16 @@ class TestProtocolErrors:
         assert "invalid JSON" in response["error"]["message"]
 
     def test_queue_full_travels_as_structured_error(self):
-        config = ServiceConfig(
-            max_inflight=1, batch_window_s=60.0, max_batch=100
-        )
+        config = ServiceConfig(max_inflight=1, max_batch=100)
+        sent = threading.Event()
 
         def work(host, port):
             with socket.create_connection((host, port), timeout=30) as sock:
                 fh = sock.makefile("rwb")
-                # First request parks in the batcher (window 60 s) and
-                # holds the only in-flight slot; the second is rejected.
+                # Both lines reach the blocked server together: the first
+                # request takes the only in-flight slot until its
+                # next-turn flush, and the second, in the same turn, is
+                # rejected.
                 for rid in (1, 2):
                     fh.write(
                         (
@@ -125,10 +136,11 @@ class TestProtocolErrors:
                         ).encode()
                     )
                     fh.flush()
+                sent.set()
                 rejection = json.loads(fh.readline())
                 return rejection
 
-        rejection = with_server(work, config=config)
+        rejection = with_server(work, config=config, hold=sent)
         assert rejection["ok"] is False
         assert rejection["error"]["code"] == "queue_full"
         assert rejection["error"]["limit"] == 1
@@ -183,28 +195,39 @@ class TestConcurrentConnections:
     def test_two_connections_coalesce_into_one_flush(self):
         """Requests from different sockets land in the same batcher
         group — the whole point of serving from one process."""
-        # Generous window: both client threads must land inside it even
-        # on a slow single-core CI runner.
-        config = ServiceConfig(batch_window_s=0.5, max_batch=8)
+        config = ServiceConfig(max_batch=8)
         rng = np.random.default_rng(0)
         xs = rng.uniform(0, 1, size=(2, 16))
+        sent = [threading.Event(), threading.Event()]
 
         async def main():
             service = SimulationService(config)
             server = SimulationServer(service, host="127.0.0.1", port=0)
             host, port = await server.start()
 
-            def one_client(x):
-                with ServeClient(host=host, port=port) as client:
-                    return client.request(
-                        "infer", {"model": MODEL, "x": [x.tolist()]}
-                    )
+            def one_client(x, sent):
+                with socket.create_connection((host, port), timeout=30) as sock:
+                    fh = sock.makefile("rwb")
+                    request = {
+                        "id": 1,
+                        "kind": "infer",
+                        "params": {"model": MODEL, "x": [x.tolist()]},
+                    }
+                    fh.write((json.dumps(request) + "\n").encode())
+                    fh.flush()
+                    sent.set()
+                    return json.loads(fh.readline())
 
+            loop = asyncio.get_running_loop()
             try:
-                results = await asyncio.gather(
-                    asyncio.to_thread(one_client, xs[0]),
-                    asyncio.to_thread(one_client, xs[1]),
-                )
+                clients = [
+                    loop.run_in_executor(None, one_client, x, ev)
+                    for x, ev in zip(xs, sent)
+                ]
+                # Block the server loop until both requests are on their
+                # sockets: they then enter the loop in the same turn.
+                assert all(ev.wait(timeout=30) for ev in sent)
+                results = await asyncio.gather(*clients)
             finally:
                 await server.stop()
             return service, results
