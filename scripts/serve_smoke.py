@@ -22,6 +22,10 @@ coverage in [0, 1] and a non-negative ``word_failure_se``.  The
 ``train`` job covers the device write path (write-verify, endurance wear,
 programming energy).  Its cold run fans out over two sweep workers and its warm run asks for none, so the hit also proves the
 parallel path returns the full, non-empty report a serial run would.
+A ``faults`` request on a model of its own must invalidate that model's
+cached inference (the next ``infer`` on it is a cache miss with a bumped
+``model_version``) and leave the default model's cached ``infer`` a hit.
+The final ``stats.requests_by_kind`` must name every kind that was sent.
 
 Exits non-zero (with a message on stderr) on any violation.
 """
@@ -51,6 +55,9 @@ MODEL = {
 }
 # The service-default model: ideal wires, read through a BLAS matmul.
 MODEL_A = {}
+# A model only the faults check reads, so its mutation touches no other
+# check's cache entries.
+MODEL_F = {**MODEL, "seed": 7}
 SWEEP = {"yields": [1.0, 0.8], "trials": 1, "epochs": 4, "n_samples": 120}
 # One grid point, one epoch: the whole write path in well under a second.
 TRAIN = {"lives": [8.0], "drift_nus": [0.01], "epochs": 1}
@@ -67,6 +74,16 @@ READY_RE = re.compile(r"listening on ([\d.]+):(\d+)")
 def fail(message):
     print(f"serve_smoke: FAIL: {message}", file=sys.stderr)
     sys.exit(1)
+
+
+class Client(ServeClient):
+    """A :class:`ServeClient` that records every request kind it sent."""
+
+    sent = set()
+
+    def request(self, kind, params=None):
+        self.sent.add(kind)
+        return super().request(kind, params)
 
 
 def cold_then_warm(client, kind, params, **cold_only):
@@ -160,6 +177,39 @@ def burst_equals_solo(client, host, port):
     )
 
 
+def faults_invalidate_their_model(client):
+    """Tag invalidation over a real socket: ``faults`` on MODEL_F drops its
+    cached infer (the repeat is a miss on version + 1), while the default
+    model's cached infer stays a hit."""
+    x = [[0.15] * MODEL["n_features"]]
+    own = client.request("infer", {"model": MODEL_F, "x": x})
+    default = client.request("infer", {"model": MODEL_A, "x": x})
+    if not own.get("ok") or not default.get("ok"):
+        fail(f"infer before faults failed: {own} {default}")
+    faults = client.request(
+        "faults", {"model": MODEL_F, "cell_yield": 0.8, "seed": 3}
+    )
+    if not faults.get("ok") or faults["result"]["invalidated_results"] < 1:
+        fail(f"faults did not invalidate the model's cached infer: {faults}")
+    after = client.request("infer", {"model": MODEL_F, "x": x})
+    version = own["result"]["model_version"] + 1
+    if (
+        not after.get("ok")
+        or after["cache"] != "miss"
+        or after["result"]["model_version"] != version
+    ):
+        fail(f"infer after faults must be a miss on version {version}: {after}")
+    still = client.request("infer", {"model": MODEL_A, "x": x})
+    if not still.get("ok") or still["cache"] != "hit":
+        fail(f"faults on another model evicted the default model's infer: {still}")
+    if still["result"] != default["result"]:
+        fail("the default model's cached infer changed after faults elsewhere")
+    print(
+        "serve_smoke: faults invalidated only its model's cached infer "
+        f"(version {version}); the default model's infer is still a hit"
+    )
+
+
 def main():
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve", "--port", "0"],
@@ -177,7 +227,7 @@ def main():
         print(f"serve_smoke: server up on {host}:{port}")
 
         x = [[0.1] * MODEL["n_features"]]
-        with ServeClient(host, port, timeout=600) as client:
+        with Client(host, port, timeout=600) as client:
             infer = client.request("infer", {"model": MODEL, "x": x})
             if not infer.get("ok"):
                 fail(f"inference failed: {infer.get('error')}")
@@ -217,6 +267,7 @@ def main():
             print("serve_smoke: batched IR-drop rows equal the rows alone")
 
             burst_equals_solo(client, host, port)
+            faults_invalidate_their_model(client)
 
             nan_x = [[math.nan] * MODEL["n_features"]]
             bad = client.request("infer", {"model": MODEL, "x": nan_x})
@@ -285,6 +336,12 @@ def main():
             cache = stats["result"]["results_cache"]
             if cache["request_hits"] < 5:
                 fail(f"stats report no results-cache hits: {cache}")
+            by_kind = stats["result"]["requests_by_kind"]
+            if set(by_kind) != Client.sent:
+                fail(
+                    f"stats requests_by_kind {sorted(by_kind)} must name every "
+                    f"kind sent: {sorted(Client.sent)}"
+                )
             print(f"serve_smoke: PASS (results cache: {cache})")
     finally:
         proc.terminate()

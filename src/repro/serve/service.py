@@ -6,27 +6,25 @@ pipeline compiler/scheduler).  It is a plain ``asyncio`` object — tests
 and embedders drive it directly; :mod:`repro.serve.server` wraps it in a
 socket protocol.
 
-Request lifecycle::
+Request lifecycle, one path for every kind in :data:`JOB_KINDS`::
 
-    submit(request) ──► admission control (bounded in-flight jobs)
-        │                   └── QueueFullError (structured, never an
-        │                       unbounded queue)
-        ├── results cache?  (task kind, config fingerprint) ── hit ──►
-        │       bit-identical cached payload, no compute
-        ├── infer ──► artifact cache (deployed model, carries its tiles'
-        │             LU caches) ──► request batcher (coalesced
-        │             forward_batch, per-request demux)
-        └── JOB_KINDS (sweep, dse, pipeline, ecc, attention, train)
-                      ──► serialized compute (one heavy job at a time,
-                      off the event loop thread)
+    submit ──► admission control ── QueueFullError (bounded, structured)
+      ├── prepare: defaults, types, energy model, the kind's own checks
+      ├── model (infer, faults): artifact hit on the loop; a miss builds
+      │     in a worker thread under the compute lock
+      ├── results cache per the kind's rule ── hit ──► cached payload
+      ├── run per the kind's rule: thread (sweep, dse, pipeline, ecc,
+      │     attention, train; one at a time under the compute lock) |
+      │     batcher (infer; coalesced forward_batch) | loop (faults, stats)
+      └── finish: validate + merge the report, cache the payload
 
 Every completed request carries a conservation-validated
 :class:`~repro.utils.telemetry.RunReport`; reports of *computed* requests
 merge into a server-lifetime report (cache hits did no work and are
-counted separately).  Fault-injection/reprogramming requests mutate a
-deployed artifact in place and invalidate every cached result tagged
-with that model's fingerprint — stale results or LU factorizations are
-never served.
+counted separately).  ``faults`` mutates a deployed artifact in place,
+so the service bumps the model's version and invalidates every cached
+result tagged with that model's fingerprint — stale results or LU
+factorizations are never served.
 """
 
 from __future__ import annotations
@@ -53,13 +51,6 @@ __all__ = [
     "JOB_KINDS",
     "JobKind",
 ]
-
-#: Request kinds the service accepts.
-REQUEST_KINDS = (
-    "infer", "sweep", "dse", "pipeline", "faults", "ecc",
-    "attention", "train", "stats",
-)
-
 
 class ServeError(RuntimeError):
     """Structured service error; ``code`` is machine-readable."""
@@ -198,8 +189,8 @@ TRAIN_DEFAULTS: Dict[str, Any] = {
     "energy_model": "static",
 }
 
-#: ``x`` is required (an empty list means missing); ``model`` is checked
-#: against :data:`MODEL_DEFAULTS` by :meth:`SimulationService.model_artifact`.
+#: ``x`` is required (an empty list means missing); ``model`` (here and in
+#: ``faults``) is normalized against :data:`MODEL_DEFAULTS` by ``prepare``.
 INFER_DEFAULTS: Dict[str, Any] = {
     "x": [],
     "noisy": False,
@@ -302,12 +293,12 @@ def _normalize(
     return out
 
 
-# --------------------------------------------------------------- job kinds
-# Each ``run(cfg, workers, artifacts)`` is only the library call and the
-# result assembly for one normalized config; :meth:`JobKind.execute`
-# prices it (the energy model is active around the call) and maps its
-# errors.  Library imports stay inside each run, so importing the service
-# stays cheap.
+# ----------------------------------------------------------- request kinds
+# Each run is only the library call and the result assembly for one
+# prepared config (see :class:`JobKind` for the signatures).  A
+# ``thread`` kind's :meth:`JobKind.execute` prices it (the energy model is
+# active around the call) and maps its errors.  Library imports stay
+# inside each run, so importing the service stays cheap.
 
 
 def _scope_report(scope: telemetry.Telemetry, label: str = "run") -> RunReport:
@@ -471,46 +462,135 @@ def _run_train(cfg, workers, artifacts):
     return {"rows": rows}, _scope_report(scope)
 
 
+def _check_infer(cfg: Dict[str, Any]) -> None:
+    """``x`` is one input or a list of inputs as wide as the model, all
+    finite (JSON admits NaN, and one non-finite row would poison a whole
+    coalesced flush's report); kept as float rows, its cache-key form."""
+    width = cfg["model"]["n_features"]
+    if not cfg["x"]:
+        raise BadRequestError("infer requires 'x' (one or more inputs)", field="x")
+    try:
+        x = np.atleast_2d(np.asarray(cfg["x"], dtype=float))
+    except (TypeError, ValueError):
+        x = np.empty((0, 0))
+    if x.ndim != 2 or x.shape[1] != width:
+        raise BadRequestError(
+            f"infer parameter 'x' must be one input of {width} numbers "
+            "or a list of them",
+            field="x",
+        )
+    if not np.isfinite(x).all():
+        raise BadRequestError("infer parameter 'x' must be finite numbers", field="x")
+    cfg["x"] = x.tolist()
+
+
+async def _run_infer(service, cfg, spec, model):
+    deployed, noisy = model.deployed, cfg["noisy"]
+
+    def forward(stacked: np.ndarray) -> Any:
+        from repro.costs.models import use_model
+
+        with use_model(spec):
+            return deployed.forward_batch(stacked, noisy=noisy)
+
+    # The spec is part of the coalescing key: a flush runs under ONE
+    # model, so only same-priced requests may share a batch.
+    out, counters = await service.batcher.submit(
+        ("model", model.fingerprint, model.version, noisy, spec),
+        np.asarray(cfg["x"], dtype=float),
+        forward,
+    )
+    result = {
+        "logits": out.tolist(),
+        "prediction": [int(k) for k in np.argmax(out, axis=-1)],
+        "model_fingerprint": model.fingerprint,
+        "model_version": model.version,
+    }
+    return result, RunReport.from_counters(counters, label="infer")
+
+
+def _check_faults(cfg: Dict[str, Any]) -> None:
+    if not 0.0 < cfg["cell_yield"] <= 1.0:
+        raise BadRequestError(
+            f"cell_yield must be in (0, 1], got {float(cfg['cell_yield'])}",
+            field="cell_yield",
+        )
+
+
+def _run_faults(service, cfg, spec, model):
+    cell_yield = float(cfg["cell_yield"])
+    with telemetry.scoped() as scope:
+        rate = model.deployed.inject_yield_faults(
+            cell_yield, rng=np.random.default_rng(cfg["seed"])
+        )
+    result = {
+        "fault_rate": rate,
+        "cell_yield": cell_yield,
+        "model_fingerprint": model.fingerprint,
+    }
+    return result, _scope_report(scope, label="faults")
+
+
+def _run_stats(service, cfg, spec, model):
+    return service.stats(), service.lifetime_report
+
+
 @dataclass(frozen=True)
 class JobKind:
-    """A compute job kind: its parameter defaults (the normalization and
-    type table) and its ``run(cfg, workers, artifacts) -> (result,
-    RunReport)``.  ``workers`` is the sweep-engine worker count (never
-    part of the result); ``artifacts`` is an artifact cache.
+    """A request kind: its parameter defaults (the normalization and type
+    table), its own ``check(cfg)``, its ``run`` and its serving policy.
 
-    :meth:`prepare` and :meth:`execute` are the one path from request
-    parameters to a labelled report: the server puts its results cache
-    and compute lock between them, the CLI calls them back to back."""
+    ``runs``: ``"thread"`` runs ``run(cfg, workers, artifacts) -> (result,
+    RunReport)`` through :meth:`execute`, one job at a time in a worker
+    thread under the compute lock (the CLI calls :meth:`prepare` and
+    :meth:`execute` back to back); ``"batcher"`` awaits ``run(service,
+    cfg, spec, model)``, a coalesced flush; ``"loop"`` calls it inline on
+    the event loop (``faults`` must: flushes read the deployment on the
+    loop, so a mutation in a thread would race them).  ``caches``:
+    ``"always"``, ``"unless_noisy"`` (a noisy read draws fresh noise per
+    flush) or ``"never"``.  ``invalidates_model``:
+    the run mutates its model.  ``priced`` is false only for ``stats``,
+    whose report is the lifetime report, not work to merge into it."""
 
     defaults: Dict[str, Any]
-    run: Callable[
-        [Dict[str, Any], Optional[int], Optional[ArtifactCache]],
-        Tuple[Any, RunReport],
-    ]
+    run: Callable[..., Any]
+    runs: str = "thread"
+    caches: str = "always"
+    check: Optional[Callable[[Dict[str, Any]], None]] = None
+    invalidates_model: bool = False
+    priced: bool = True
 
     def prepare(
         self, name: str, params: Dict[str, Any]
     ) -> Tuple[Dict[str, Any], Optional[int], Any]:
         """Check request parameters: returns ``(cfg, workers, spec)``, the
         normalized config (the results-cache key material), the worker
-        count and the parsed energy-model spec, or raises
-        :class:`BadRequestError` naming the bad field."""
+        count and the parsed energy-model spec (``None`` without one), or
+        raises :class:`BadRequestError` naming the bad field."""
         params = dict(params)
-        # ``workers`` never changes results (every engine is bit-identical
-        # at any worker count), so it stays out of the config; ``null``
-        # means ``$REPRO_WORKERS``.
-        workers = params.pop("workers", 0)
-        if workers is not None and _type_name(workers) != "int":
-            raise BadRequestError(
-                f"{name} parameter 'workers' must be int or null, got "
-                f"{workers!r}",
-                field="workers",
-            )
+        workers = 0
+        if self.runs == "thread":  # only compute jobs run the sweep engine
+            # ``workers`` never changes results (every engine is bit-identical
+            # at any worker count): not in the config; ``null`` means
+            # ``$REPRO_WORKERS``.
+            workers = params.pop("workers", 0)
+            if workers is not None and _type_name(workers) != "int":
+                raise BadRequestError(
+                    f"{name} parameter 'workers' must be int or null, got "
+                    f"{workers!r}",
+                    field="workers",
+                )
         cfg = _normalize(params, self.defaults, name)
-        # The parsed spec is part of the config: static and value-aware
-        # runs of the same parameters never share a warm hit.
-        spec = _energy_spec(cfg["energy_model"])
-        cfg["energy_model"] = spec.to_dict()
+        spec = None
+        if "energy_model" in cfg:
+            # The parsed spec is part of the config: static and
+            # value-aware runs of the same parameters never share a hit.
+            spec = _energy_spec(cfg["energy_model"])
+            cfg["energy_model"] = spec.to_dict()
+        if "model" in cfg:
+            cfg["model"] = _normalize(cfg["model"], MODEL_DEFAULTS, "model")
+        if self.check is not None:
+            self.check(cfg)
         return cfg, workers, spec
 
     def execute(
@@ -521,9 +601,10 @@ class JobKind:
         spec: Any,
         artifacts: ArtifactCache,
     ) -> Tuple[Any, RunReport]:
-        """Run a prepared config priced under ``spec``; a ``ValueError``
-        from the job's own validation becomes a :class:`BadRequestError`,
-        and the report is labelled with the kind."""
+        """Run a prepared ``thread`` config priced under ``spec``; a
+        ``ValueError`` from the job's own validation becomes a
+        :class:`BadRequestError`, and the report is labelled with the
+        kind."""
         from repro.costs.models import use_model
 
         try:
@@ -535,27 +616,36 @@ class JobKind:
         return result, report
 
 
-#: The compute job kinds behind ``cimflow serve`` and the matching CLI
-#: commands, all served by :meth:`SimulationService._handle_job`.
+#: Every request kind ``cimflow serve`` accepts, all served by the one
+#: path of :meth:`SimulationService.submit`; the ``thread`` kinds back
+#: the CLI's job commands.
 JOB_KINDS: Dict[str, JobKind] = {
+    "infer": JobKind(INFER_DEFAULTS, _run_infer, runs="batcher",
+                     caches="unless_noisy", check=_check_infer),
     "sweep": JobKind(SWEEP_DEFAULTS, _run_sweep),
     "dse": JobKind(DSE_DEFAULTS, _run_dse),
     "pipeline": JobKind(PIPELINE_DEFAULTS, _run_pipeline),
+    "faults": JobKind(FAULTS_DEFAULTS, _run_faults, runs="loop", caches="never",
+                      check=_check_faults, invalidates_model=True),
     "ecc": JobKind(ECC_DEFAULTS, _run_ecc),
     "attention": JobKind(ATTENTION_DEFAULTS, _run_attention),
     "train": JobKind(TRAIN_DEFAULTS, _run_train),
+    "stats": JobKind({}, _run_stats, runs="loop", caches="never", priced=False),
 }
+REQUEST_KINDS: Tuple[str, ...] = tuple(JOB_KINDS)
+
+
+def _response(kind: str, cache: str, payload: Dict[str, Any]) -> Dict[str, Any]:
+    return {"ok": True, "kind": kind, "cache": cache,
+            "result": payload["result"], "report": payload["report"]}
 
 
 @dataclass
 class _DeployedModel:
-    """A deployed-model artifact: the crossbar network plus the data it
-    was calibrated on and a mutation version counter."""
+    """A deployed-model artifact: the crossbar network, its fingerprint
+    and a mutation version counter."""
 
     deployed: Any                   # CrossbarMLP
-    x_train: np.ndarray
-    x_test: np.ndarray
-    y_test: np.ndarray
     fingerprint: str
     version: int = 0                # bumped on fault injection/reprogram
 
@@ -621,117 +711,138 @@ class SimulationService:
             raise BadRequestError("params must be a JSON object")
         self._admit(kind)
         try:
-            if kind in JOB_KINDS:
-                response = await self._handle_job(kind, params)
-            else:
-                response = await getattr(self, f"_handle_{kind}")(params)
+            response = await self._serve(kind, JOB_KINDS[kind], params)
         finally:
             self._inflight -= 1
         self.requests_completed += 1
         return response
 
-    # ------------------------------------------------------- result caching
-    def _cached(self, kind: str, cfg: Dict[str, Any]) -> Tuple[Any, Optional[Dict]]:
-        key = ResultsCache.key(kind, cfg)
-        hit = self.results.get(key)
-        if hit is not None:
-            self.results_hits += 1
+    async def _serve(
+        self, name: str, kind: JobKind, params: Dict[str, Any]
+    ) -> Dict[str, Any]:
+        """The one request path: prepare, resolve the model, look up the
+        results cache under the kind's cache rule, run under its run
+        rule, finish."""
+        cfg, workers, spec = kind.prepare(name, params)
+        model = await self._model(cfg["model"]) if "model" in cfg else None
+        store = kind.caches == "always" or (
+            kind.caches == "unless_noisy" and not cfg["noisy"]
+        )
+        key = None
+        if kind.caches != "never":
+            # A model enters the key as its fingerprint (injective, and cheap
+            # to hash on the hot path) and its mutation version.
+            keyed = cfg if model is None else {
+                **cfg, "model": [model.fingerprint, model.version]
+            }
+            key = ResultsCache.key(name, keyed)
+            hit = self.results.get(key)
+            if hit is None:
+                self.results_misses += 1
+            else:
+                self.results_hits += 1
+                if store:
+                    return _response(name, "hit", hit)
+        if kind.runs == "thread":
+            async with self._compute_lock:
+                result, report = await asyncio.to_thread(
+                    kind.execute, name, cfg, workers, spec, self.artifacts
+                )
+        elif kind.runs == "batcher":
+            result, report = await kind.run(self, cfg, spec, model)
         else:
-            self.results_misses += 1
-        return key, hit
-
-    def _finish(
-        self,
-        kind: str,
-        key: Any,
-        result: Any,
-        report: RunReport,
-        tags: Tuple[str, ...] = (),
-        cache: bool = True,
-    ) -> Dict[str, Any]:
-        """Validate + merge the report, cache the payload, and build the
-        response from the cache's canonical copy (so a later warm hit is
-        bit-identical to this cold response)."""
+            result, report = kind.run(self, cfg, spec, model)
+        if kind.invalidates_model:
+            # Anything derived from the deployment's previous state is
+            # stale: bump the version (future infer keys diverge) and
+            # sweep out every cached result tagged with it.
+            model.version += 1
+            result["model_version"] = model.version
+            result["invalidated_results"] = self.results.invalidate_tag(
+                model.fingerprint
+            )
+            telemetry.current().incr("serve.model_mutations")
+        # Finish.  A cached payload answers from the cache's canonical copy,
+        # so a later warm hit is bit-identical to this cold response.
         report.validate()
-        self.lifetime_report = self.lifetime_report.merge(report)
+        if kind.priced:
+            self.lifetime_report = self.lifetime_report.merge(report)
         payload = {"result": result, "report": report.to_dict()}
-        if cache:
-            payload = self.results.put(key, payload, tags=tags)
-        return self._response(kind, "miss" if cache else "none", payload)
-
-    @staticmethod
-    def _response(
-        kind: str, cache: str, payload: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        return {
-            "ok": True,
-            "kind": kind,
-            "cache": cache,
-            "result": payload["result"],
-            "report": payload["report"],
-        }
+        if not store:
+            return _response(name, "none", payload)
+        tags = () if model is None else (model.fingerprint,)
+        return _response(name, "miss", self.results.put(key, payload, tags=tags))
 
     # ------------------------------------------------------ model artifacts
     @staticmethod
     def _build_model(cfg: Dict[str, Any], fingerprint: str) -> _DeployedModel:
         """Train and deploy the reference MLP described by ``cfg`` (a pure
-        function of the normalized config)."""
+        function of the normalized config).  A model the library refuses
+        to build (a negative wire resistance, an empty layer, too few
+        samples) is a bad request naming the model, not an internal
+        error."""
         from repro.apps.datasets import gaussian_blobs
         from repro.apps.nn import MLP, CrossbarMLP
         from repro.core.accelerator import AcceleratorParams
 
-        gen = np.random.default_rng(int(cfg["seed"]))
-        x, y = gaussian_blobs(
-            n_samples=int(cfg["n_samples"]),
-            n_features=int(cfg["n_features"]),
-            n_classes=int(cfg["n_classes"]),
-            separation=float(cfg["separation"]),
-            rng=gen,
-        )
-        split = int(0.7 * int(cfg["n_samples"]))
-        hidden = [int(h) for h in cfg["hidden"]]
-        mlp = MLP(
-            [int(cfg["n_features"]), *hidden, int(cfg["n_classes"])], rng=gen
-        )
-        mlp.train(x[:split], y[:split], epochs=int(cfg["epochs"]), rng=gen)
-        deployed = CrossbarMLP(
-            mlp,
-            calibration=x[:split],
-            accel_params=AcceleratorParams(
-                tile_rows=int(cfg["tile_rows"]),
-                tile_cols=int(cfg["tile_cols"]),
-                adc_bits=int(cfg["adc_bits"]),
-                wire_resistance=float(cfg["wire_resistance"]),
-            ),
-            rng=gen,
-        )
-        return _DeployedModel(
-            deployed=deployed,
-            x_train=x[:split],
-            x_test=x[split:],
-            y_test=y[split:],
-            fingerprint=fingerprint,
-        )
+        try:
+            gen = np.random.default_rng(int(cfg["seed"]))
+            x, y = gaussian_blobs(
+                n_samples=int(cfg["n_samples"]),
+                n_features=int(cfg["n_features"]),
+                n_classes=int(cfg["n_classes"]),
+                separation=float(cfg["separation"]),
+                rng=gen,
+            )
+            split = int(0.7 * int(cfg["n_samples"]))
+            hidden = [int(h) for h in cfg["hidden"]]
+            mlp = MLP(
+                [int(cfg["n_features"]), *hidden, int(cfg["n_classes"])],
+                rng=gen,
+            )
+            mlp.train(x[:split], y[:split], epochs=int(cfg["epochs"]), rng=gen)
+            return _DeployedModel(CrossbarMLP(
+                mlp,
+                calibration=x[:split],
+                accel_params=AcceleratorParams(
+                    tile_rows=int(cfg["tile_rows"]),
+                    tile_cols=int(cfg["tile_cols"]),
+                    adc_bits=int(cfg["adc_bits"]),
+                    wire_resistance=float(cfg["wire_resistance"]),
+                ),
+                rng=gen,
+            ), fingerprint)
+        except ValueError as exc:
+            raise BadRequestError(
+                f"bad model parameters: {exc}", field="model"
+            ) from None
 
     def model_artifact(self, model_params: Dict[str, Any]) -> Tuple[_DeployedModel, bool]:
         """The deployed-model artifact for ``model_params`` (normalized),
-        deploying on first use.  Returns ``(artifact, cache_hit)``.
-
-        A model the library refuses to build (a negative wire resistance,
-        an empty layer, too few samples) is a bad request naming the
-        model, not an internal error."""
+        deployed in the calling thread on first use.  Returns
+        ``(artifact, cache_hit)``."""
         cfg = _normalize(model_params, MODEL_DEFAULTS, "model")
         fp = config_fingerprint(cfg, prefix="model")
+        return self.artifacts.get_or_create(
+            ("model", fp), lambda: self._build_model(cfg, fp), tags=(fp,)
+        )
 
-        def build() -> _DeployedModel:
-            try:
-                return self._build_model(cfg, fp)
-            except ValueError as exc:
-                raise BadRequestError(
-                    f"bad model parameters: {exc}", field="model"
-                ) from None
-
-        return self.artifacts.get_or_create(("model", fp), build, tags=(fp,))
+    async def _model(self, cfg: Dict[str, Any]) -> _DeployedModel:
+        """The served model for a normalized config.  A hit stays on the
+        event loop, with no thread hop and no lock (the hot infer path);
+        a miss is built like a job artifact, in a worker thread under the
+        compute lock, so a cold build never stalls the loop."""
+        fp = config_fingerprint(cfg, prefix="model")
+        key = ("model", fp)
+        args = (key, lambda: self._build_model(cfg, fp), (fp,))
+        if key not in self.artifacts:
+            async with self._compute_lock:
+                # Checked again once the lock is held: the request this
+                # one queued behind may have built the same model.
+                if key not in self.artifacts:
+                    built = await asyncio.to_thread(self.artifacts.get_or_create, *args)
+                    return built[0]
+        return self.artifacts.get_or_create(*args)[0]
 
     def invalidate_model(self, model_params: Dict[str, Any]) -> Dict[str, int]:
         """Drop a model's artifact and every cached result derived from
@@ -743,135 +854,6 @@ class SimulationService:
             "artifacts": self.artifacts.invalidate_tag(fp),
             "results": self.results.invalidate_tag(fp),
         }
-
-    # ------------------------------------------------------ kind:<job kind>
-    async def _handle_job(
-        self, name: str, params: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        """Serve one :data:`JOB_KINDS` request: prepare it, look up the
-        results cache, then execute it off the event loop, one at a
-        time."""
-        kind = JOB_KINDS[name]
-        cfg, workers, spec = kind.prepare(name, params)
-        key, hit = self._cached(name, cfg)
-        if hit is not None:
-            return self._response(name, "hit", hit)
-        async with self._compute_lock:
-            result, report = await asyncio.to_thread(
-                kind.execute, name, cfg, workers, spec, self.artifacts
-            )
-        return self._finish(name, key, result, report)
-
-    # ----------------------------------------------------------- kind:infer
-    async def _handle_infer(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        cfg = _normalize(params, INFER_DEFAULTS, "infer")
-        if not cfg["x"]:
-            raise BadRequestError(
-                "infer requires 'x' (one or more inputs)", field="x"
-            )
-        noisy = cfg["noisy"]
-        spec = _energy_spec(cfg["energy_model"])
-        artifact, _ = self.model_artifact(cfg["model"])
-        width = artifact.x_train.shape[1]
-        try:
-            x = np.atleast_2d(np.asarray(cfg["x"], dtype=float))
-        except (TypeError, ValueError):
-            x = np.empty((0, 0))
-        if x.ndim != 2 or x.shape[1] != width:
-            raise BadRequestError(
-                f"infer parameter 'x' must be one input of {width} numbers "
-                "or a list of them",
-                field="x",
-            )
-        # JSON admits NaN; one non-finite row would poison the whole
-        # coalesced flush's report, so it never reaches the batcher.
-        if not np.isfinite(x).all():
-            raise BadRequestError(
-                "infer parameter 'x' must be finite numbers", field="x"
-            )
-        fp = artifact.fingerprint
-        # Key on the model *fingerprint* (injective for normalized
-        # configs) rather than re-embedding the whole config — request
-        # keying is per-request fixed cost on the hot inference path.
-        request_cfg = {
-            "model_fp": fp,
-            "x": x.tolist(),
-            "noisy": noisy,
-            "model_version": artifact.version,
-            "energy_model": spec.to_dict(),
-        }
-        key, hit = self._cached("infer", request_cfg)
-        if hit is not None and not noisy:
-            return self._response("infer", "hit", hit)
-
-        deployed = artifact.deployed
-
-        def _forward(stacked: np.ndarray) -> Any:
-            from repro.costs.models import use_model
-
-            with use_model(spec):
-                return deployed.forward_batch(stacked, noisy=noisy)
-
-        # The spec is part of the coalescing key: a flush runs under ONE
-        # model, so only same-priced requests may share a batch.
-        out, counters = await self.batcher.submit(
-            ("model", fp, artifact.version, noisy, spec),
-            x,
-            _forward,
-        )
-        report = RunReport.from_counters(counters, label="infer")
-        result = {
-            "logits": out.tolist(),
-            "prediction": [int(k) for k in np.argmax(out, axis=-1)],
-            "model_fingerprint": fp,
-            "model_version": artifact.version,
-        }
-        # Noisy inference draws fresh read noise per flush, so only the
-        # deterministic path is cached (and later served bit-identically).
-        return self._finish(
-            "infer", key, result, report, tags=(fp,), cache=not noisy
-        )
-
-    # ---------------------------------------------------------- kind:faults
-    async def _handle_faults(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        cfg = _normalize(params, FAULTS_DEFAULTS, "faults")
-        cell_yield = float(cfg["cell_yield"])
-        if not 0.0 < cell_yield <= 1.0:
-            raise BadRequestError(
-                f"cell_yield must be in (0, 1], got {cell_yield}",
-                field="cell_yield",
-            )
-        artifact, _ = self.model_artifact(cfg["model"])
-        fp = artifact.fingerprint
-        with telemetry.scoped() as scope:
-            rate = artifact.deployed.inject_yield_faults(
-                cell_yield, rng=np.random.default_rng(cfg["seed"])
-            )
-        # The deployment mutated in place: anything derived from its
-        # previous state is stale.  Bump the version (future infer keys
-        # diverge) and sweep out every cached result tagged with it.
-        artifact.version += 1
-        invalidated = self.results.invalidate_tag(fp)
-        telemetry.current().incr("serve.model_mutations")
-        report = _scope_report(scope, label="faults")
-        result = {
-            "fault_rate": rate,
-            "cell_yield": cell_yield,
-            "model_fingerprint": fp,
-            "model_version": artifact.version,
-            "invalidated_results": invalidated,
-        }
-        # Mutations are never cached.
-        return self._finish("faults", None, result, report, cache=False)
-
-    # ----------------------------------------------------------- kind:stats
-    async def _handle_stats(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        if params:
-            raise BadRequestError("stats takes no parameters")
-        report = self.lifetime_report
-        report.validate()
-        payload = {"result": self.stats(), "report": report.to_dict()}
-        return self._response("stats", "none", payload)
 
     # ------------------------------------------------------------ telemetry
     def stats(self) -> Dict[str, Any]:

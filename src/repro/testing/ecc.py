@@ -94,16 +94,22 @@ def _binomial_tail(n: int, p: float, k_min: int) -> float:
 def _tail_flip_table(
     n: int, t: int, ber: float
 ) -> Tuple[float, Optional[np.ndarray]]:
-    """The Monte Carlo's view of one word of ``n`` bits at ``ber``:
-    ``(P[K > t], cdf)`` for the flip count ``K ~ Binomial(n, ber)``,
-    where ``cdf[i] = P[K <= t + 1 + i | K > t]`` (its last entry exactly
-    1.0).  ``cdf`` is ``None`` when no word can exceed ``t`` flips.
-    Cached per ``(n, t, ber)``; the array is read-only."""
-    tail = _binomial_tail(n, ber, t + 1)
+    """One word of ``n`` bits at ``ber``: ``(P[K > t], cdf)`` for the flip
+    count ``K ~ Binomial(n, ber)``, where ``cdf[i] = P[K <= t + 1 + i |
+    K > t]`` (its last entry exactly 1.0).  ``cdf`` is ``None`` when no
+    word can exceed ``t`` flips.  The tail (also the analytic word
+    failure) sums the CDF's terms in :func:`_binomial_tail`'s order, so
+    each term is priced once and the tail is that function's, bit for
+    bit.  Cached per ``(n, t, ber)``; the array is read-only."""
+    q = 1.0 - ber
+    terms = [_binomial_term(n, k, ber, q) for k in range(t + 1, n + 1)]
+    tail = 0.0
+    for term in reversed(terms):
+        tail += term
+    tail = min(tail, 1.0)
     if tail == 0.0:
         return tail, None
-    q = 1.0 - ber
-    cdf = np.cumsum([_binomial_term(n, k, ber, q) for k in range(t + 1, n + 1)])
+    cdf = np.cumsum(terms)
     cdf /= cdf[-1]
     cdf.flags.writeable = False
     return tail, cdf
@@ -177,11 +183,11 @@ class EccCode:
         ``P[X >= t + 1]`` computed as a stable binomial tail sum
         (:func:`_binomial_tail`), accurate in the BER << 1e-5 regime
         where the historical ``1 - p_ok - p_one`` form cancelled to
-        rounding noise."""
+        rounding noise; read from :func:`_tail_flip_table`."""
         check_probability("ber", ber)
-        return _binomial_tail(
-            self.codeword_bits, ber, self.correctable_random + 1
-        )
+        return _tail_flip_table(
+            self.codeword_bits, self.correctable_random, ber
+        )[0]
 
     # -------------------------------------------------- validation helpers
     def _check_data_block(self, data: np.ndarray) -> np.ndarray:
@@ -564,7 +570,7 @@ class SecDaecCode(EccCode):
         each with probability ``ber^2 (1 - ber)^(n-2)``)."""
         check_probability("ber", ber)
         n = self.codeword_bits
-        tail = _binomial_tail(n, ber, 2)
+        tail, _ = _tail_flip_table(n, 1, ber)  # P[K >= 2]
         adjacent = (n - 1) * ber * ber * (1.0 - ber) ** (n - 2)
         return max(tail - adjacent, 0.0)
 

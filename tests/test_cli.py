@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import SWEEP_COMMANDS, _COMMANDS, build_parser, main
+from repro.serve.service import JOB_KINDS
 
 
 class TestParser:
@@ -614,6 +615,8 @@ def _malformed(default):
         float: [null, flag, text, nested, table,
                 st.sampled_from([float("nan"), float("inf"), -float("inf")])],
         str: [null, flag, count, real, nested, table],
+        bool: [null, count, real, text, nested, table],
+        dict: [null, flag, count, real, text, nested],
     }
     if not isinstance(default, list):
         return st.one_of(*wrong[type(default)])
@@ -630,37 +633,30 @@ class TestMalformedParams:
     entry points, never another exception; none reaches compute."""
 
     @staticmethod
-    def _malformed_request(data, command):
+    def _malformed_request(data, name):
         from hypothesis import strategies as st
 
-        from repro.serve.service import JOB_KINDS
-
-        defaults = JOB_KINDS[JOB_COMMANDS[command]].defaults
-        key = data.draw(
-            st.sampled_from(
-                [k for k in defaults if k != "energy_model"] + ["workers", None]
-            )
-        )
+        kind = JOB_KINDS[name]
+        extra = ["workers"] if kind.runs == "thread" else []
+        keys = [k for k in kind.defaults if k != "energy_model"] + extra
+        key = data.draw(st.sampled_from(keys + [None]))
         if key is None:  # an unknown key
             key = data.draw(
                 st.text(min_size=1, max_size=6).filter(
-                    lambda k: k not in defaults and k != "workers"
+                    lambda k: k not in kind.defaults and k not in extra
                 )
             )
             return {key: data.draw(st.integers())}
         if key == "workers":
             return {key: data.draw(_malformed(1).filter(lambda v: v is not None))}
-        return {key: data.draw(_malformed(defaults[key]))}
+        return {key: data.draw(_malformed(kind.defaults[key]))}
 
     @pytest.mark.parametrize("command", sorted(JOB_COMMANDS))
     def test_malformed_params_are_bad_requests(self, command):
-        import asyncio
-
         from hypothesis import given, settings
         from hypothesis import strategies as st
 
         from repro.cli import _run_job
-        from repro.serve import BadRequestError, SimulationService
 
         args = build_parser().parse_args([command])
         kind = JOB_COMMANDS[command]
@@ -668,12 +664,28 @@ class TestMalformedParams:
         @settings(max_examples=40, deadline=None)
         @given(data=st.data())
         def check(data):
-            params = self._malformed_request(data, command)
+            params = self._malformed_request(data, kind)
+            assert _run_job(kind, args, **params) == (None, None)
+
+        check()
+
+    @pytest.mark.parametrize("kind", sorted(JOB_KINDS))
+    def test_malformed_served_params_are_bad_requests(self, kind):
+        import asyncio
+
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        from repro.serve import BadRequestError, SimulationService
+
+        @settings(max_examples=40, deadline=None)
+        @given(data=st.data())
+        def check(data):
+            params = self._malformed_request(data, kind)
             with pytest.raises(BadRequestError):
                 asyncio.run(
                     SimulationService().submit({"kind": kind, "params": params})
                 )
-            assert _run_job(kind, args, **params) == (None, None)
 
         check()
 

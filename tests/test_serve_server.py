@@ -2,11 +2,15 @@
 
 import asyncio
 import json
+import os
 import socket
+import sys
 import threading
 
 import numpy as np
+import pytest
 
+import repro.apps.nn as nn
 from repro.serve import ServeClient, ServiceConfig, SimulationServer, SimulationService
 
 MODEL = {
@@ -19,9 +23,10 @@ MODEL = {
 }
 
 
-def with_server(client_fn, config=None, hold=None):
-    """Start a server on an ephemeral port, run ``client_fn(host, port)``
-    in a worker thread, and return its result.
+def with_server(client_fn, config=None, hold=None, service=None):
+    """Start a server (over ``service``, or a new one) on an ephemeral
+    port, run ``client_fn(host, port)`` in a worker thread, and return its
+    result.
 
     With ``hold`` (a :class:`threading.Event`), the server's loop blocks
     until the client sets it, so whatever the client sent before then
@@ -29,7 +34,7 @@ def with_server(client_fn, config=None, hold=None):
 
     async def main():
         server = SimulationServer(
-            SimulationService(config), host="127.0.0.1", port=0
+            service or SimulationService(config), host="127.0.0.1", port=0
         )
         host, port = await server.start()
         try:
@@ -236,3 +241,56 @@ class TestConcurrentConnections:
         assert all(r["ok"] for r in results)
         assert service.batcher.stats.requests == 2
         assert service.batcher.stats.coalesced_flushes == 1
+
+
+SWEEP = {"yields": [1.0, 0.8], "trials": 1, "epochs": 4, "n_samples": 120}
+_yield_trial = nn._yield_trial
+
+
+def _die_at_faulty_point(cell_yield, *args):
+    """A sweep-grid task whose worker process dies outright (no exception,
+    no cleanup) on the grid's faulty point."""
+    if cell_yield < 1.0:
+        os._exit(13)
+    return _yield_trial(cell_yield, *args)
+
+
+def _shm_names():
+    return set(os.listdir("/dev/shm"))
+
+
+class TestWorkerCrash:
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="/dev/shm is Linux-only"
+    )
+    def test_worker_crash_mid_sweep_is_a_structured_error(self, monkeypatch):
+        """A served sweep whose pool worker dies mid-run answers with a
+        structured error, not a dropped connection; the compute lock and
+        the shared-memory segment are released, and the same server then
+        answers stats, an infer and another parallel sweep."""
+        service = SimulationService()
+        before = _shm_names()
+        monkeypatch.setattr(nn, "_yield_trial", _die_at_faulty_point)
+
+        def work(host, port):
+            with ServeClient(host=host, port=port) as client:
+                crashed = client.request("sweep", {**SWEEP, "workers": 2})
+                locked = service._compute_lock.locked()
+                monkeypatch.setattr(nn, "_yield_trial", _yield_trial)
+                after = [
+                    client.request("stats"),
+                    client.request("infer", {"model": MODEL, "x": [[0.25] * 16]}),
+                    client.request("sweep", {**SWEEP, "workers": 2}),
+                ]
+            return crashed, locked, after
+
+        crashed, locked, after = with_server(work, service=service)
+        assert crashed["ok"] is False
+        assert crashed["error"]["code"] == "internal"
+        assert "worker crashed" in crashed["error"]["message"]
+        assert not locked
+        assert all(response["ok"] for response in after)
+        assert after[2]["cache"] == "miss"
+        assert after[2]["result"]["rows"][1]["yield"] == 0.8
+        assert service.inflight == 0
+        assert _shm_names() <= before

@@ -3,6 +3,7 @@ admission control, per-request reports)."""
 
 import asyncio
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -358,7 +359,11 @@ class TestParamTypes:
             ("faults", {"seed": 1.7}, "seed"),
             ("pipeline", {"workload": "rnn"}, "workload"),
             ("dse", {"objectives": ["latency"]}, "objectives"),
-            *((kind, {"workers": "2"}, "workers") for kind in JOB_KINDS),
+            *(
+                (name, {"workers": "2"}, "workers")
+                for name, kind in JOB_KINDS.items()
+                if kind.runs == "thread"
+            ),
             ("sweep", {"workers": 2.0}, "workers"),
             ("ecc", {"workers": True}, "workers"),
         ],
@@ -845,8 +850,11 @@ class TestWorkloadKinds:
         run(main())
 
 
-#: One small request per job kind, for the checks that cover every kind.
+#: One small request per request kind, for the checks that cover every
+#: kind.  ``faults`` mutates a model of its own, so serving it leaves every
+#: other kind's answers alone.
 SMALL = {
+    "infer": {"model": MODEL, "x": [list(inputs(1)[0])]},
     "sweep": SWEEP,
     "dse": {
         "tile_counts": [4, 8],
@@ -854,25 +862,56 @@ SMALL = {
         "batch_sizes": [16],
     },
     "pipeline": {"batch": 16},
+    "faults": {"model": {**MODEL, "seed": 5}, "cell_yield": 0.8, "seed": 3},
     "ecc": ECC,
     "attention": ATTENTION,
     "train": TRAIN,
+    "stats": {},
 }
 
 #: A different request of the same kind.  The pipeline one keeps the
-#: seed and changes only the batch, so it reuses the cached allocation.
+#: seed and changes only the batch, so it reuses the cached allocation;
+#: the infer one reads the same model; the faults one mutates a third.
 NEIGHBOUR = {kind: {**params, "seed": 1} for kind, params in SMALL.items()}
-NEIGHBOUR["pipeline"] = {"batch": 32}
+NEIGHBOUR.update(
+    pipeline={"batch": 32},
+    infer={**SMALL["infer"], "x": [list(inputs(1, seed=1)[0])]},
+    faults={**SMALL["faults"], "model": {**MODEL, "seed": 6}},
+    stats={},
+)
+
+
+def kinds(applies):
+    """The registered kinds whose policy ``applies(kind)`` accepts."""
+    return sorted(name for name, kind in JOB_KINDS.items() if applies(kind))
 
 
 def same_bytes(a, b):
     return json.dumps(a) == json.dumps(b)
 
 
-class TestEveryJobKind:
-    """Serving guarantees checked uniformly across every compute kind."""
+class TestRegistry:
+    def test_every_kind_has_a_small_request(self):
+        assert set(SMALL) == set(JOB_KINDS)
 
-    @pytest.mark.parametrize("kind", sorted(JOB_KINDS))
+    def test_every_policy_value_is_used(self):
+        policies = JOB_KINDS.values()
+        assert {k.runs for k in policies} == {"thread", "batcher", "loop"}
+        assert {k.caches for k in policies} == {"always", "unless_noisy", "never"}
+        assert {k.invalidates_model for k in policies} == {True, False}
+        assert {k.priced for k in policies} == {True, False}
+
+    def test_request_kinds_are_the_registry_keys(self):
+        from repro.serve import REQUEST_KINDS
+
+        assert REQUEST_KINDS == tuple(JOB_KINDS)
+
+
+class TestEveryJobKind:
+    """Serving guarantees checked uniformly across every request kind the
+    check applies to, as the kind's policy says."""
+
+    @pytest.mark.parametrize("kind", kinds(lambda k: k.runs == "thread"))
     def test_workers_stays_out_of_the_cache_key(self, kind):
         """Worker count never changes a served result or report, so it
         must not fork a cache entry: a parallel cold run answers a serial
@@ -898,7 +937,7 @@ class TestEveryJobKind:
         RunReport.from_dict(serial["report"]).validate()
         assert serial["report"]["totals"]["energy"] > 0
 
-    @pytest.mark.parametrize("kind", sorted(JOB_KINDS))
+    @pytest.mark.parametrize("kind", kinds(lambda k: "energy_model" in k.defaults))
     def test_energy_model_forks_the_cache_key(self, kind):
         """The parsed energy-model spec is part of every result key: a
         value-aware run is never served a static entry, and a repeated
@@ -921,13 +960,14 @@ class TestEveryJobKind:
         assert again["cache"] == "hit"
         assert again["result"] == aware["result"]
 
-    @pytest.mark.parametrize("kind", sorted(JOB_KINDS))
+    @pytest.mark.parametrize("kind", kinds(lambda k: k.priced))
     def test_result_is_independent_of_server_history(self, kind):
         """A served run is priced into per-run accumulators, so serving
-        it after an infer, a fault injection, every other kind and a
-        neighbouring request of its own kind changes nothing — except a
-        pipeline's ``artifact_hits``, which records the reused cached
-        allocation."""
+        it after every other kind and a neighbouring request of its own
+        kind changes nothing — except what records a reused cached
+        artifact: a pipeline's ``artifact_hits`` (the allocation), and a
+        model kind's ``solver.*`` counters (the deployment's LU
+        factorizations and transfer rows, solved by the first read)."""
         request = {"kind": kind, "params": SMALL[kind]}
 
         async def fresh():
@@ -935,13 +975,6 @@ class TestEveryJobKind:
 
         async def after_history():
             svc = make_service()
-            await svc.submit(infer_request(inputs(1)[0]))
-            await svc.submit(
-                {
-                    "kind": "faults",
-                    "params": {"model": MODEL, "cell_yield": 0.8, "seed": 3},
-                }
-            )
             for other in sorted(JOB_KINDS):
                 if other != kind:
                     await svc.submit({"kind": other, "params": SMALL[other]})
@@ -949,21 +982,17 @@ class TestEveryJobKind:
             return await svc.submit(request)
 
         clean, reused = run(fresh()), run(after_history())
-        assert reused["cache"] == "miss"
+        assert reused["cache"] == clean["cache"] != "hit"
         if kind == "pipeline":
             assert reused["result"].pop("artifact_hits")["alloc"] is True
             assert clean["result"].pop("artifact_hits")["alloc"] is False
+        if "model" in JOB_KINDS[kind].defaults:
+            for response in (clean, reused):
+                counters = response["report"]["counters"]
+                for name in [n for n in counters if n.startswith("solver.")]:
+                    del counters[name]
         assert same_bytes(reused["result"], clean["result"])
         assert same_bytes(reused["report"], clean["report"])
-
-
-#: One small request per computing kind: every job kind plus ``infer``
-#: and ``faults``.
-COMPUTING = {
-    **{kind: {**params, "workers": 0} for kind, params in SMALL.items()},
-    "infer": {"model": MODEL, "x": [list(inputs(1)[0])]},
-    "faults": {"model": MODEL, "cell_yield": 0.8, "seed": 3},
-}
 
 
 class TestLedgerClosure:
@@ -971,17 +1000,18 @@ class TestLedgerClosure:
     its energy, latency and data moved equal the sums of the
     ``EnergyModel._book`` calls made while the job ran."""
 
-    @pytest.mark.parametrize("kind", sorted(COMPUTING))
+    @pytest.mark.parametrize("kind", kinds(lambda k: k.priced))
     def test_report_equals_booked_charges(self, kind, booked):
         async def main():
             svc = make_service()
-            # Build the cached artifacts first (the deployed model, and the
-            # pipeline's allocation through a neighbouring request): their
-            # programming belongs to no one request.
-            svc.model_artifact(MODEL)
+            # Build the cached artifacts first (the kind's deployed model,
+            # and the pipeline's allocation through a neighbouring
+            # request): their programming belongs to no one request.
+            if "model" in JOB_KINDS[kind].defaults:
+                svc.model_artifact(SMALL[kind]["model"])
             await svc.submit({"kind": "pipeline", "params": NEIGHBOUR["pipeline"]})
             booked.clear()
-            return await svc.submit({"kind": kind, "params": COMPUTING[kind]})
+            return await svc.submit({"kind": kind, "params": SMALL[kind]})
 
         report = RunReport.from_dict(run(main())["report"])
         sums = {}
@@ -998,6 +1028,85 @@ class TestLedgerClosure:
                 )
 
 
+class TestOffLoopModelBuild:
+    """A cold model is built like a job artifact: in a worker thread under
+    the compute lock, never on the event loop."""
+
+    @staticmethod
+    def gate(monkeypatch):
+        """Hold every model build until ``release`` is set; returns
+        ``(started, release, calls)``, ``calls`` listing each build's
+        model fingerprint."""
+        build = SimulationService._build_model
+        started, release, calls = threading.Event(), threading.Event(), []
+
+        def gated(cfg, fingerprint):
+            calls.append(fingerprint)
+            started.set()
+            assert release.wait(5), "the build was never released"
+            return build(cfg, fingerprint)
+
+        monkeypatch.setattr(SimulationService, "_build_model", staticmethod(gated))
+        return started, release, calls
+
+    def test_stats_is_answered_while_a_cold_model_builds(self, monkeypatch):
+        started, release, _ = self.gate(monkeypatch)
+
+        async def main():
+            svc = make_service()
+            infer = asyncio.ensure_future(svc.submit(infer_request(inputs(1)[0])))
+            assert await asyncio.to_thread(started.wait, 10)
+            stats = await asyncio.wait_for(svc.submit({"kind": "stats"}), 10)
+            building = svc._compute_lock.locked()
+            release.set()
+            return stats, building, await infer
+
+        stats, building, infer = run(main())
+        assert building
+        assert stats["result"]["inflight"] == 2      # the infer and itself
+        assert stats["result"]["artifact_cache"]["size"] == 0
+        assert infer["ok"] and infer["cache"] == "miss"
+
+    def test_concurrent_first_infers_build_the_model_once(self, monkeypatch):
+        started, release, calls = self.gate(monkeypatch)
+
+        async def main():
+            svc = make_service()
+            both = asyncio.gather(
+                *[svc.submit(infer_request(x)) for x in inputs(2, seed=4)]
+            )
+            assert await asyncio.to_thread(started.wait, 10)
+            release.set()
+            return svc, await both
+
+        svc, responses = run(main())
+        assert len(calls) == 1
+        assert all(r["ok"] and r["cache"] == "miss" for r in responses)
+        assert svc.artifacts.stats()["size"] == 1
+
+    def test_unbuildable_model_is_a_bad_request_off_the_loop(self, monkeypatch):
+        started, release, calls = self.gate(monkeypatch)
+        params = {"model": {"wire_resistance": -1.0}, "x": [[0.5] * 16]}
+
+        async def main():
+            svc = make_service()
+            bad = asyncio.ensure_future(svc.submit({"kind": "infer", "params": params}))
+            assert await asyncio.to_thread(started.wait, 10)
+            stats = await asyncio.wait_for(svc.submit({"kind": "stats"}), 10)
+            release.set()
+            with pytest.raises(BadRequestError, match="bad model") as info:
+                await bad
+            return svc, stats, info.value.payload()
+
+        svc, stats, payload = run(main())
+        assert stats["ok"] and len(calls) == 1
+        assert payload["code"] == "bad_request"
+        assert payload["field"] == "model"
+        assert not svc._compute_lock.locked()
+        assert svc.artifacts.stats()["size"] == 0
+        assert svc.inflight == 0
+
+
 class TestAdmissionControl:
     def test_queue_full_is_a_structured_rejection(self):
         async def main():
@@ -1009,8 +1118,8 @@ class TestAdmissionControl:
             ]
 
             async def third():
-                # Same loop turn as the two parked submits, before their
-                # next-turn flush: both still hold an in-flight slot.
+                # Same loop turn as the two parked submits, while their
+                # model builds: both still hold an in-flight slot.
                 assert svc.inflight == 2
                 with pytest.raises(QueueFullError) as excinfo:
                     await svc.submit(infer_request(xs[2]))

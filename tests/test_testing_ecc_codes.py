@@ -28,6 +28,7 @@ from repro.testing.ecc import (
     STATUS_DETECTED,
     STATUS_OK,
     make_code,
+    _binomial_tail,
     _floyd_patterns,
     _mc_block,
     _tail_flip_table,
@@ -534,3 +535,22 @@ class TestTailFlipTable:
 
     def test_no_candidates_without_flips(self):
         assert _tail_flip_table(72, 1, 0.0) == (0.0, None)
+
+    def test_tail_is_the_reference_tail_bit_for_bit(self):
+        """The cached tail sums the CDF's own terms smallest-first, so it
+        equals :func:`_binomial_tail` exactly, including wide words whose
+        middle terms are priced in log space, and the analytic word
+        failure of every code reads that same tail."""
+        bers = [0.0, 1e-300, 1e-12, 1e-9, 1e-7, 1e-5, 1e-4, 1e-3, 0.01,
+                0.03, 0.1, 0.3, 0.5, 0.9, 1.0 - 1e-9, 1.0]
+        for n in (1, 2, 8, 39, 72, 78, 137, 523, 1036, 1100):
+            for t in (0, 1, 2, 3):
+                for ber in bers:
+                    tail, _ = _tail_flip_table(n, t, ber)
+                    assert tail == _binomial_tail(n, ber, t + 1), (n, t, ber)
+        for name in ("secded", "bch"):
+            code = make_code(name, 32)
+            for ber in bers:
+                assert code.word_failure_probability(ber) == _binomial_tail(
+                    code.codeword_bits, ber, code.correctable_random + 1
+                )
